@@ -13,12 +13,18 @@
 //! 2. **The scale benchmark**: `blox-bench --bin scale` measures the
 //!    per-round cost of the state layer at production scale through both
 //!    implementations; the naive one *is* the pre-refactor code path.
+//!
+//! [`NaiveFreePool`] and [`naive_plan_placement`] do the same for the
+//! placement engine and the planner's grant walk.
 
 use std::collections::BTreeMap;
 
 use blox_core::cluster::{ClusterState, GpuState, NodeSpec};
 use blox_core::error::{BloxError, Result};
 use blox_core::ids::{GpuGlobalId, JobId, NodeId};
+use blox_core::place_util::PickStrategy;
+use blox_core::policy::{Placement, SchedulingDecision};
+use blox_core::state::JobState;
 
 /// One GPU row of the naive table (the fields the scans touch).
 #[derive(Debug, Clone)]
@@ -350,6 +356,89 @@ impl<'a> NaiveFreePool<'a> {
         let chosen: Vec<GpuGlobalId> = all.into_iter().take(n as usize).collect();
         self.remove(&chosen);
         Some(chosen)
+    }
+}
+
+/// Reference of the **pre-bound** keep / suspend / launch planner.
+///
+/// A verbatim port of the round path the capacity-bounded
+/// [`blox_core::place_util::plan_placement`] replaced: the manager's
+/// `allocations.retain(is_active)` pass, then the grant walk over the
+/// whole decision (no stop once the cluster is full), with picks served
+/// by [`NaiveFreePool`]. `tests/properties.rs` asserts both planners emit
+/// identical plans. `BandwidthAware` has no scan-based engine here and
+/// panics.
+pub fn naive_plan_placement<F>(
+    decision: &SchedulingDecision,
+    job_state: &JobState,
+    cluster: &ClusterState,
+    mut strategy_for: F,
+) -> Placement
+where
+    F: FnMut(JobId) -> PickStrategy,
+{
+    let mut decision = decision.clone();
+    decision.allocations.retain(|(id, _)| {
+        job_state
+            .get(*id)
+            .map(|j| j.status.is_active())
+            .unwrap_or(false)
+    });
+
+    let total = cluster.total_gpus();
+    let mut granted: BTreeMap<JobId, u32> = BTreeMap::new();
+    let mut order: Vec<JobId> = Vec::new();
+    let mut used = 0u32;
+    for (job, want) in &decision.allocations {
+        if *want == 0 || granted.contains_key(job) {
+            continue;
+        }
+        if job_state.get(*job).is_none() {
+            continue;
+        }
+        if used + *want <= total {
+            granted.insert(*job, *want);
+            order.push(*job);
+            used += *want;
+        }
+    }
+
+    let mut pool = NaiveFreePool::new(cluster);
+    let mut to_suspend = Vec::new();
+    let mut kept: BTreeMap<JobId, bool> = BTreeMap::new();
+    for job in job_state.running() {
+        let keep = granted.get(&job.id).copied() == Some(job.placement.len() as u32);
+        if keep {
+            kept.insert(job.id, true);
+        } else {
+            to_suspend.push(job.id);
+            pool.add(&job.placement);
+        }
+    }
+
+    let mut to_launch = Vec::new();
+    for job in order {
+        if kept.contains_key(&job) {
+            continue;
+        }
+        let n = granted[&job];
+        let gpus = match strategy_for(job) {
+            PickStrategy::ConsolidatedStrict => pool.take_consolidated(n),
+            PickStrategy::ConsolidatedPreferred => pool.take_consolidated_or_spread(n),
+            PickStrategy::Defragment => pool.take_defragmenting(n),
+            PickStrategy::FirstFree => pool.take_first_free(n),
+            PickStrategy::BandwidthAware => {
+                unimplemented!("no scan-based bandwidth-aware engine")
+            }
+        };
+        if let Some(gpus) = gpus {
+            to_launch.push((job, gpus));
+        }
+    }
+
+    Placement {
+        to_launch,
+        to_suspend,
     }
 }
 

@@ -429,7 +429,8 @@ impl<B: Backend> BloxManager<B> {
         scheduling.observe_delta(&observed, &self.jobs);
         let mut decision = scheduling.schedule(&self.jobs, &self.cluster, now);
 
-        // Apply early terminations before placement.
+        // Apply early terminations before placement. Terminated ids may
+        // stay listed in `allocations`: placers skip inactive jobs.
         for id in std::mem::take(&mut decision.terminate) {
             let status = match self.jobs.get(id) {
                 Some(job) => job.status,
@@ -452,12 +453,6 @@ impl<B: Backend> BloxManager<B> {
                 delta.terminated.push(id);
             }
         }
-        decision.allocations.retain(|(id, _)| {
-            self.jobs
-                .get(*id)
-                .map(|j| j.status.is_active())
-                .unwrap_or(false)
-        });
 
         // Apply batch-size retuning (Pollux). Only actual moves are
         // recorded in the delta: a batch change invalidates the job's
@@ -1247,6 +1242,53 @@ mod tests {
         let fast = run_stub(ExecMode::EventDriven, StopCondition::AllJobsDone, 7);
         assert_eq!(fixed.rounds, 7);
         assert_eq!(fast.rounds, 7);
+    }
+
+    #[test]
+    fn terminated_job_listed_first_is_skipped_and_its_gpus_reassigned() {
+        /// Ranks job 0 first every round; terminates it in round 2.
+        struct TerminateFirst {
+            round: u32,
+        }
+        impl SchedulingPolicy for TerminateFirst {
+            fn schedule(&mut self, _: &JobState, _: &ClusterState, _: f64) -> SchedulingDecision {
+                self.round += 1;
+                SchedulingDecision {
+                    allocations: vec![(JobId(0), 4), (JobId(1), 4)],
+                    terminate: if self.round == 2 {
+                        vec![JobId(0)]
+                    } else {
+                        vec![]
+                    },
+                    ..Default::default()
+                }
+            }
+            fn name(&self) -> &str {
+                "terminate-first"
+            }
+        }
+        // One 4-GPU node: jobs 0 and 1 each want the whole node.
+        let mut mgr = BloxManager::new(
+            StubBackend::new(vec![job(0, 4), job(1, 4)], 1e9),
+            cluster(),
+            RunConfig::default(),
+        );
+        let mut sched = TerminateFirst { round: 0 };
+        let first = mgr.step(&mut StubAdmit, &mut sched, &mut StubPlace);
+        assert_eq!(first.delta.launched, vec![JobId(0)]);
+        let gpus = mgr.jobs().get(JobId(0)).unwrap().placement.clone();
+
+        let second = mgr.step(&mut StubAdmit, &mut sched, &mut StubPlace);
+        assert_eq!(second.terminated, 1);
+        assert_eq!(second.delta.terminated, vec![JobId(0)]);
+        // Job 0 still heads `allocations`, but the placer skips it: it is
+        // neither relaunched nor suspended, and job 1 gets its GPUs.
+        assert_eq!(second.delta.launched, vec![JobId(1)]);
+        assert!(second.delta.suspended.is_empty());
+        let x = mgr.jobs().get(JobId(0)).unwrap();
+        assert_eq!(x.status, JobStatus::TerminatedEarly);
+        assert_eq!(x.launches, 1);
+        assert_eq!(mgr.jobs().get(JobId(1)).unwrap().placement, gpus);
     }
 
     #[test]

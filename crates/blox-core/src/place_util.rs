@@ -355,13 +355,63 @@ impl PickStrategy {
     }
 }
 
+/// Phases 1 and 2 of every planner: grant, then keep or suspend.
+///
+/// Grants GPUs in the decision's priority order while capacity lasts. A
+/// job that does not fit is passed over, so later, smaller jobs can fill
+/// the hole. Zero-GPU entries, repeated ids and ids that are not active
+/// (absent, done, terminated this round, `Failed`) are skipped. The walk
+/// stops once the cluster is full, since no positive want fits after
+/// that: it costs O(capacity), not O(waiting queue).
+///
+/// Then keeps every running job whose grant equals its current GPU count
+/// and suspends the rest of the running set, handing their GPUs to the
+/// returned pool. Returns the granted jobs left to launch (priority
+/// order, with their GPU counts), that pool, and the jobs to suspend.
+pub fn grant_and_keep<'a>(
+    decision: &SchedulingDecision,
+    job_state: &JobState,
+    cluster: &'a ClusterState,
+) -> (Vec<(JobId, u32)>, FreePool<'a>, Vec<JobId>) {
+    let total = cluster.total_gpus();
+    let mut granted: BTreeMap<JobId, u32> = BTreeMap::new();
+    let mut order = Vec::new();
+    let mut used = 0u32;
+    for &(job, want) in &decision.allocations {
+        if used == total {
+            break;
+        }
+        if want == 0 || want > total - used || granted.contains_key(&job) {
+            continue;
+        }
+        if !job_state.get(job).is_some_and(|j| j.status.is_active()) {
+            continue;
+        }
+        granted.insert(job, want);
+        order.push((job, want));
+        used += want;
+    }
+
+    // Index-driven: O(running jobs), not O(active jobs). A kept job
+    // leaves `granted`, so it is not launched again.
+    let mut pool = FreePool::new(cluster);
+    let mut to_suspend = Vec::new();
+    for job in job_state.running() {
+        if granted.get(&job.id) == Some(&(job.placement.len() as u32)) {
+            granted.remove(&job.id);
+        } else {
+            to_suspend.push(job.id);
+            pool.add(&job.placement);
+        }
+    }
+    order.retain(|(job, _)| granted.contains_key(job));
+    (order, pool, to_suspend)
+}
+
 /// Generic keep / suspend / launch planner shared by placement policies.
 ///
-/// Walks the scheduling decision in priority order, grants GPUs while
-/// capacity lasts, keeps running jobs whose grant is unchanged, suspends
-/// running jobs that lost their allocation (or whose size changed), and
-/// launches newly granted jobs using a per-job pick strategy.
-///
+/// Grants, keeps and suspends via [`grant_and_keep`], then launches the
+/// newly granted jobs in priority order using a per-job pick strategy.
 /// `strategy_for` lets policies choose a different strategy per job
 /// (Tiresias consolidates only high-skew jobs, for example).
 pub fn plan_placement<F>(
@@ -373,55 +423,11 @@ pub fn plan_placement<F>(
 where
     F: FnMut(JobId) -> PickStrategy,
 {
-    let total = cluster.total_gpus();
-    // Phase 1: decide target GPU counts in priority order under capacity.
-    let mut granted: BTreeMap<JobId, u32> = BTreeMap::new();
-    let mut order: Vec<JobId> = Vec::new();
-    let mut used = 0u32;
-    for (job, want) in &decision.allocations {
-        if *want == 0 || granted.contains_key(job) {
-            continue;
-        }
-        if job_state.get(*job).is_none() {
-            continue;
-        }
-        if used + *want <= total {
-            granted.insert(*job, *want);
-            order.push(*job);
-            used += *want;
-        }
-    }
-
-    let mut pool = FreePool::new(cluster);
-    let mut to_suspend = Vec::new();
-    let mut kept: BTreeMap<JobId, bool> = BTreeMap::new();
-
-    // Phase 2: keep running jobs whose grant matches their placement;
-    // suspend the rest of the running set, releasing their GPUs.
-    // Index-driven: O(running jobs), not O(active jobs).
-    for job in job_state.running() {
-        let keep = granted.get(&job.id).copied() == Some(job.placement.len() as u32);
-        if keep {
-            kept.insert(job.id, true);
-        } else {
-            to_suspend.push(job.id);
-            pool.add(&job.placement);
-        }
-    }
-
-    // Phase 3: launch newly granted jobs in priority order.
-    let mut to_launch = Vec::new();
-    for job in order {
-        if kept.contains_key(&job) {
-            continue;
-        }
-        let n = granted[&job];
-        let strategy = strategy_for(job);
-        if let Some(gpus) = strategy.pick(&mut pool, n) {
-            to_launch.push((job, gpus));
-        }
-    }
-
+    let (to_place, mut pool, to_suspend) = grant_and_keep(decision, job_state, cluster);
+    let to_launch = to_place
+        .into_iter()
+        .filter_map(|(job, n)| Some((job, strategy_for(job).pick(&mut pool, n)?)))
+        .collect();
     Placement {
         to_launch,
         to_suspend,

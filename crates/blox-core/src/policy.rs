@@ -20,6 +20,8 @@ use crate::state::JobState;
 /// grant each job its requested GPU count; policies that resize jobs
 /// (Pollux, Optimus, Gavel) grant other counts. The placement policy walks
 /// this list in order and stops granting once the cluster is full.
+/// It may name jobs that are no longer active (e.g. ones listed in
+/// `terminate`): placers skip them, the manager does not filter them out.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulingDecision {
     /// `(job, gpu count)` pairs in descending priority.
@@ -160,6 +162,11 @@ pub trait SchedulingPolicy: Send {
 /// Policy), and which running jobs to suspend.
 pub trait PlacementPolicy: Send {
     /// Map the scheduling decision onto concrete GPUs.
+    ///
+    /// The decision may name jobs that are absent or no longer active
+    /// (terminated this round, `Failed`); they must be skipped. The
+    /// priority walk may stop once the cluster is full.
+    /// [`crate::place_util::grant_and_keep`] does both for every planner.
     fn place(
         &mut self,
         decision: &SchedulingDecision,

@@ -50,7 +50,10 @@ enum Bucket {
 /// reason.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobState {
-    active: BTreeMap<JobId, Job>,
+    /// Boxed: a `Job` is several hundred bytes, and storing it inline
+    /// makes every B-tree node kilobytes wide, so each id lookup strides
+    /// through sparse nodes; boxing keeps keys and edges densely packed.
+    active: BTreeMap<JobId, Box<Job>>,
     finished: Vec<Job>,
     /// Index: active jobs with status `Running`, in id order.
     running_ids: BTreeSet<JobId>,
@@ -103,7 +106,7 @@ impl JobState {
     pub fn add_new_jobs(&mut self, jobs: Vec<Job>) {
         for job in jobs {
             let (id, status) = (job.id, job.status);
-            if let Some(old) = self.active.insert(id, job) {
+            if let Some(old) = self.active.insert(id, Box::new(job)) {
                 self.index_remove(id, old.status);
             }
             self.index_insert(id, status);
@@ -126,7 +129,7 @@ impl JobState {
 
     /// Iterate active jobs in id (submission) order.
     pub fn active(&self) -> impl Iterator<Item = &Job> {
-        self.active.values()
+        self.active.values().map(|j| &**j)
     }
 
     /// Mutable iteration over active jobs in id order.
@@ -134,7 +137,7 @@ impl JobState {
     /// Do not change [`Job::status`] through this — use
     /// [`JobState::set_status`], which keeps the status indexes in sync.
     pub fn active_mut(&mut self) -> impl Iterator<Item = &mut Job> {
-        self.active.values_mut()
+        self.active.values_mut().map(|j| &mut **j)
     }
 
     /// Number of active jobs.
@@ -144,7 +147,7 @@ impl JobState {
 
     /// Look up one active job.
     pub fn get(&self, id: JobId) -> Option<&Job> {
-        self.active.get(&id)
+        self.active.get(&id).map(|j| &**j)
     }
 
     /// Mutable lookup of one active job.
@@ -152,7 +155,7 @@ impl JobState {
     /// Do not change [`Job::status`] through this — use
     /// [`JobState::set_status`], which keeps the status indexes in sync.
     pub fn get_mut(&mut self, id: JobId) -> Option<&mut Job> {
-        self.active.get_mut(&id)
+        self.active.get_mut(&id).map(|j| &mut **j)
     }
 
     /// Look up one active job, erroring when absent.
@@ -163,22 +166,18 @@ impl JobState {
     /// Mutable lookup, erroring when absent. The status-mutation caveat of
     /// [`JobState::get_mut`] applies.
     pub fn require_mut(&mut self, id: JobId) -> Result<&mut Job> {
-        self.active.get_mut(&id).ok_or(BloxError::UnknownJob(id))
+        self.get_mut(id).ok_or(BloxError::UnknownJob(id))
     }
 
     /// Jobs currently holding GPUs, in id order (index-driven, no scan).
     pub fn running(&self) -> impl Iterator<Item = &Job> {
-        self.running_ids
-            .iter()
-            .filter_map(move |id| self.active.get(id))
+        self.running_ids.iter().filter_map(move |id| self.get(*id))
     }
 
     /// Jobs waiting for GPUs (queued or suspended), in id order
     /// (index-driven, no scan).
     pub fn waiting(&self) -> impl Iterator<Item = &Job> {
-        self.waiting_ids
-            .iter()
-            .filter_map(move |id| self.active.get(id))
+        self.waiting_ids.iter().filter_map(move |id| self.get(*id))
     }
 
     /// Ids of currently running jobs, in id order. Backends iterate this
@@ -217,7 +216,7 @@ impl JobState {
     pub fn take_job(&mut self, id: JobId) -> Option<Job> {
         let job = self.active.remove(&id)?;
         self.index_remove(id, job.status);
-        Some(job)
+        Some(*job)
     }
 
     /// Sum of requested GPUs across active jobs (admission-control input).
@@ -233,7 +232,7 @@ impl JobState {
         let done: Vec<JobId> = std::mem::take(&mut self.done_ids).into_iter().collect();
         for id in &done {
             if let Some(job) = self.active.remove(id) {
-                self.finished.push(job);
+                self.finished.push(*job);
             }
         }
         done

@@ -824,12 +824,14 @@ impl Backend for NetBackend {
             apply_status_message(msg, cluster, jobs);
         }
         self.detect_lost_jobs(cluster, jobs);
+        // Service accrues over the running set only (index-driven), not
+        // every queued submission.
         if elapsed > 0.0 {
-            for job in jobs.active_mut() {
-                if job.status == JobStatus::Running {
-                    job.attained_service += job.placement.len() as f64 * elapsed;
-                    job.running_time += elapsed;
-                }
+            let running: Vec<JobId> = jobs.running_ids().iter().copied().collect();
+            for id in running {
+                let job = jobs.get_mut(id).expect("running jobs are active");
+                job.attained_service += job.placement.len() as f64 * elapsed;
+                job.running_time += elapsed;
             }
         }
     }

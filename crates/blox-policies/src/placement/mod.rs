@@ -4,8 +4,7 @@ use std::collections::BTreeMap;
 
 use blox_core::cluster::ClusterState;
 use blox_core::ids::{GpuGlobalId, JobId, NodeId};
-use blox_core::job::JobStatus;
-use blox_core::place_util::{plan_placement, FreePool, PickStrategy};
+use blox_core::place_util::{grant_and_keep, plan_placement, PickStrategy};
 use blox_core::policy::{Placement, PlacementPolicy, SchedulingDecision};
 use blox_core::state::JobState;
 
@@ -267,10 +266,7 @@ impl SynergyPlacement {
     /// Current profiled CPU demand per node from running jobs.
     fn node_cpu_load(job_state: &JobState, cluster: &ClusterState) -> BTreeMap<NodeId, f64> {
         let mut load: BTreeMap<NodeId, f64> = BTreeMap::new();
-        for job in job_state
-            .active()
-            .filter(|j| j.status == JobStatus::Running)
-        {
+        for job in job_state.running() {
             for gpu in &job.placement {
                 if let Some(row) = cluster.gpu(*gpu) {
                     *load.entry(row.node).or_default() += job.profile.cpus_per_gpu;
@@ -295,40 +291,9 @@ impl PlacementPolicy for SynergyPlacement {
             });
         }
 
-        // Tune: greedy CPU-aware node choice. Reimplements the planner's
-        // keep/suspend phases, then picks per-job nodes minimizing CPU
-        // oversubscription.
-        let total = cluster.total_gpus();
-        let mut granted: Vec<(JobId, u32)> = Vec::new();
-        let mut used = 0u32;
-        for (job, want) in &decision.allocations {
-            if *want == 0 || job_state.get(*job).is_none() {
-                continue;
-            }
-            if used + *want <= total {
-                granted.push((*job, *want));
-                used += *want;
-            }
-        }
-
-        let mut pool = FreePool::new(cluster);
-        let mut to_suspend = Vec::new();
-        let mut kept: Vec<JobId> = Vec::new();
-        for job in job_state
-            .active()
-            .filter(|j| j.status == JobStatus::Running)
-        {
-            let keep = granted
-                .iter()
-                .any(|(id, n)| *id == job.id && *n == job.placement.len() as u32);
-            if keep {
-                kept.push(job.id);
-            } else {
-                to_suspend.push(job.id);
-                pool.add(&job.placement);
-            }
-        }
-
+        // Tune: the planner's grant and keep/suspend phases, then a
+        // greedy per-job node choice minimizing CPU oversubscription.
+        let (to_place, mut pool, to_suspend) = grant_and_keep(decision, job_state, cluster);
         let mut cpu_load = Self::node_cpu_load(job_state, cluster);
         // Suspended jobs free their CPU demand.
         for id in &to_suspend {
@@ -344,13 +309,8 @@ impl PlacementPolicy for SynergyPlacement {
         }
 
         let mut to_launch = Vec::new();
-        for (id, n) in granted {
-            if kept.contains(&id) {
-                continue;
-            }
-            let Some(job) = job_state.get(id) else {
-                continue;
-            };
+        for (id, n) in to_place {
+            let job = job_state.get(id).expect("granted jobs are active");
             let demand = job.profile.cpus_per_gpu * n as f64;
             // Synergy's placement constraint: never oversubscribe a node's
             // CPUs when any non-oversubscribed node fits; within that,
@@ -418,7 +378,7 @@ impl PlacementPolicy for SynergyPlacement {
 mod tests {
     use super::*;
     use blox_core::cluster::NodeSpec;
-    use blox_core::job::Job;
+    use blox_core::job::{Job, JobStatus};
     use blox_core::profile::JobProfile;
 
     fn cluster(nodes: u32) -> ClusterState {

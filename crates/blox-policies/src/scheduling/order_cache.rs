@@ -79,52 +79,54 @@ impl OrderCache {
     /// Emit this round's decision in key order, maintaining the cache.
     ///
     /// Fast path: the cached order still matches the active set and is
-    /// still sorted under the current keys — O(n) verification, no sort,
-    /// no re-collection. Any mismatch (untracked membership change,
-    /// priority-key movement) falls back to the full collect-and-sort,
-    /// so the output is always byte-identical to the uncached policy.
+    /// still sorted under the current keys. One pass looks each job up
+    /// once, computes its key once and emits its allocation; the cached
+    /// id vector is kept as is. A moved key (queue demotion, progress
+    /// change) re-sorts the cached order; an untracked membership change
+    /// falls back to the full collect-and-sort. Either way the output is
+    /// byte-identical to the uncached policy.
     pub fn decision<K, F>(&mut self, job_state: &JobState, mut key: F) -> SchedulingDecision
     where
         K: PartialOrd,
         F: FnMut(&Job) -> K,
     {
-        let prev = self.cached.take();
-        if let Some(ids) = prev {
-            if ids.len() == job_state.active_count() {
-                let mut jobs: Vec<&Job> = Vec::with_capacity(ids.len());
-                let mut intact = true;
-                for id in &ids {
-                    match job_state.get(*id) {
-                        Some(job) => jobs.push(job),
-                        None => {
-                            intact = false;
-                            break;
-                        }
-                    }
-                }
-                if intact {
-                    let in_order = jobs.windows(2).all(|w| {
-                        key(w[0])
-                            .partial_cmp(&key(w[1]))
-                            .expect("scheduling keys are finite")
-                            != Ordering::Greater
+        let mut jobs: Vec<&Job> = Vec::new();
+        let cached = self.cached.take();
+        if let Some(ids) = cached.filter(|ids| ids.len() == job_state.active_count()) {
+            let mut allocations = Vec::with_capacity(ids.len());
+            let mut prev: Option<K> = None;
+            let mut in_order = true;
+            for id in &ids {
+                let Some(job) = job_state.get(*id) else {
+                    break;
+                };
+                if in_order {
+                    let k = key(job);
+                    in_order = prev.as_ref().is_none_or(|p| {
+                        p.partial_cmp(&k).expect("scheduling keys are finite") != Ordering::Greater
                     });
-                    if !in_order {
-                        // A key moved (queue demotion, progress change):
-                        // repair by re-sorting under the current keys.
-                        jobs.sort_by(|a, b| {
-                            key(a)
-                                .partial_cmp(&key(b))
-                                .expect("scheduling keys are finite")
-                        });
-                    }
-                    self.cached = Some(jobs.iter().map(|j| j.id).collect());
-                    return SchedulingDecision::from_priority_order(jobs);
+                    prev = Some(k);
                 }
+                allocations.push((job.id, job.requested_gpus));
+            }
+            if allocations.len() == ids.len() {
+                if in_order {
+                    self.cached = Some(ids);
+                    return SchedulingDecision {
+                        allocations,
+                        ..SchedulingDecision::default()
+                    };
+                }
+                jobs = allocations
+                    .iter()
+                    .filter_map(|(id, _)| job_state.get(*id))
+                    .collect();
             }
         }
-        // Full rebuild: collect and sort the active set from scratch.
-        let mut jobs: Vec<&Job> = job_state.active().collect();
+        if jobs.is_empty() {
+            // Full rebuild: collect the active set from scratch.
+            jobs = job_state.active().collect();
+        }
         jobs.sort_by(|a, b| {
             key(a)
                 .partial_cmp(&key(b))

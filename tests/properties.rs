@@ -698,6 +698,124 @@ proptest! {
         }
     }
 
+    /// A delta-fed Fifo (the same incremental order cache) emits
+    /// byte-identical decisions to a fresh instance that re-sorts the
+    /// world each round, across random admission/completion interleavings
+    /// and arrival-time rewrites (untracked key movement forces the
+    /// repair sort).
+    #[test]
+    fn cached_fifo_matches_full_sort(
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec((0u64..500, 0.0f64..1e5), 0..4),
+             proptest::collection::vec(0u64..64, 0..3),
+             proptest::collection::vec((0u64..64, 0.0f64..1e5), 0..2)),
+            1..30),
+    ) {
+        use blox::core::policy::SchedulingPolicy;
+        use blox::policies::scheduling::Fifo;
+        let mut c = ClusterState::new();
+        c.add_nodes(&NodeSpec::v100_p3_8xlarge(), 2);
+        let mut js = JobState::new();
+        let mut cached = Fifo::new();
+        let mut next_id = 0u64;
+        for (admit, complete, moves) in rounds {
+            let mut delta = StateDelta::new();
+            // Completions first (the pipeline prunes before admitting).
+            for pick in complete {
+                let ids: Vec<JobId> = js.active().map(|j| j.id).collect();
+                if ids.is_empty() { continue; }
+                let id = ids[pick as usize % ids.len()];
+                js.set_status(id, JobStatus::Completed).expect("active");
+            }
+            delta.completed = js.prune_completed();
+            // Admissions.
+            let mut batch = Vec::new();
+            for (_, arrival) in admit {
+                let id = JobId(next_id);
+                next_id += 1;
+                batch.push(Job::new(id, arrival, 1, 1e6, JobProfile::synthetic("p", 0.5)));
+                delta.admitted.push(id);
+            }
+            js.add_new_jobs(batch);
+            // Key movement the delta does not report.
+            for (pick, arrival) in moves {
+                let ids: Vec<JobId> = js.active().map(|j| j.id).collect();
+                if ids.is_empty() { continue; }
+                let id = ids[pick as usize % ids.len()];
+                js.get_mut(id).expect("active").arrival_time = arrival;
+            }
+            cached.observe_delta(&delta, &js);
+            let fast = cached.schedule(&js, &c, 0.0);
+            let slow = Fifo::new().schedule(&js, &c, 0.0);
+            prop_assert_eq!(fast, slow, "cached order diverged from full sort");
+        }
+    }
+
+    /// The capacity-bounded planner (`plan_placement`: one grant walk
+    /// that skips inactive ids and stops once the cluster is full) emits
+    /// the identical plan to the pre-bound path (`naive_plan_placement`:
+    /// the manager's `retain(is_active)` plus a walk over the whole
+    /// decision, picks from the scan-based pool). Decisions mix GPU wants
+    /// so late small jobs fill holes after a large job is skipped, and
+    /// name duplicate ids, absent ids, and jobs that are running,
+    /// suspended, terminated this round, failed, or done.
+    #[test]
+    fn capacity_bounded_plan_matches_naive_walk(
+        jobs in proptest::collection::vec((0usize..8, 0u8..6), 1..24),
+        allocations in proptest::collection::vec((0u64..30, 0usize..8), 0..48),
+        salt in 0u64..4,
+    ) {
+        use blox::core::place_util::{plan_placement, PickStrategy};
+        use blox::core::policy::SchedulingDecision;
+        use blox_bench::naive::naive_plan_placement;
+        const WANTS: [u32; 8] = [0, 1, 2, 3, 4, 6, 8, 16];
+        let mut c = ClusterState::new();
+        c.add_nodes(&NodeSpec::v100_p3_8xlarge(), 3);
+        c.add_nodes(&NodeSpec::p100_tiresias(), 1);
+        let mut js = JobState::new();
+        for (i, (want, status)) in jobs.into_iter().enumerate() {
+            let id = JobId(i as u64);
+            let gpus = WANTS[want].max(1);
+            let mut job = Job::new(id, i as f64, gpus, 1e5, JobProfile::synthetic("p", 0.5));
+            job.status = match status {
+                0 => JobStatus::Queued,
+                1 => {
+                    let free = c.free_gpus();
+                    if free.len() >= gpus as usize {
+                        job.placement = free[..gpus as usize].to_vec();
+                        c.allocate(id, &job.placement, 4.0).expect("free GPUs allocate");
+                        JobStatus::Running
+                    } else {
+                        JobStatus::Queued
+                    }
+                }
+                2 => JobStatus::Suspended,
+                // Terminated by the policy this round: GPUs released,
+                // placement cleared, not yet pruned.
+                3 => JobStatus::TerminatedEarly,
+                4 => JobStatus::Failed,
+                _ => JobStatus::Completed,
+            };
+            js.add_new_jobs(vec![job]);
+        }
+        let decision = SchedulingDecision {
+            allocations: allocations
+                .into_iter()
+                .map(|(id, want)| (JobId(id), WANTS[want]))
+                .collect(),
+            ..Default::default()
+        };
+        let strategy = |id: JobId| match (id.0 + salt) % 4 {
+            0 => PickStrategy::ConsolidatedStrict,
+            1 => PickStrategy::ConsolidatedPreferred,
+            2 => PickStrategy::Defragment,
+            _ => PickStrategy::FirstFree,
+        };
+        let fast = plan_placement(&decision, &js, &c, strategy);
+        let slow = naive_plan_placement(&decision, &js, &c, strategy);
+        prop_assert_eq!(fast, slow, "capacity-bounded plan diverged from the full walk");
+    }
+
     /// The incremental rate cache stays *bitwise* equal to a from-scratch
     /// `PerfModel::progress_rates` recompute across random op sequences:
     /// launches, suspensions, completions, Pollux retunes, and node
