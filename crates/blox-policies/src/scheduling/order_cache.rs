@@ -117,6 +117,8 @@ impl OrderCache {
                         ..SchedulingDecision::default()
                     };
                 }
+                // A key moved (queue demotion, progress change): repair
+                // by re-sorting the nearly sorted cached order.
                 jobs = allocations
                     .iter()
                     .filter_map(|(id, _)| job_state.get(*id))
