@@ -1,16 +1,16 @@
 //! Wire-codec microbenchmarks: encode/decode throughput of the runtime
-//! protocol, and message round-trip rate over `blox-net`'s framed
-//! loopback-TCP transport (the path every launch / lease / progress
+//! protocol, and message round-trip rate over `blox-net`'s event-loop
+//! transport on loopback TCP (the path every launch / lease / progress
 //! message takes in the networked deployment).
 //!
 //! `BLOX_BENCH_JSON=BENCH_net.json cargo bench -p blox-bench --bench
 //! wire_codec` appends one JSON line per benchmark.
 
 use blox_core::ids::JobId;
-use blox_net::tcp::TcpTransport;
+use blox_net::{EvLoopConfig, EvLoopPool, EvTransport};
 use blox_runtime::wire::{Message, Transport};
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 
 /// A representative command-direction message (largest common frame).
 fn launch_msg() -> Message {
@@ -33,14 +33,17 @@ fn progress_msg() -> Message {
     }
 }
 
-/// A connected transport pair over an ephemeral loopback port.
-fn tcp_pair() -> (TcpTransport, TcpTransport) {
+/// A connected transport pair over an ephemeral loopback port, both
+/// ends on `pool`.
+fn tcp_pair(pool: &EvLoopPool) -> (EvTransport, EvTransport) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let addr = listener.local_addr().expect("local addr");
-    let client = std::thread::spawn(move || TcpTransport::connect(addr).expect("connect"));
+    let client = std::thread::spawn(move || TcpStream::connect(addr).expect("connect"));
     let (stream, _) = listener.accept().expect("accept");
-    let server = TcpTransport::from_stream(stream).expect("wrap stream");
-    (server, client.join().expect("client thread"))
+    let server = EvTransport::from_stream(stream, pool).expect("register server");
+    let client = EvTransport::from_stream(client.join().expect("client thread"), pool)
+        .expect("register client");
+    (server, client)
 }
 
 fn bench_codec(c: &mut Criterion) {
@@ -67,9 +70,10 @@ fn bench_tcp_loopback(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_tcp_loopback");
     group.sample_size(20);
 
+    let pool = EvLoopPool::new(EvLoopConfig::default()).expect("event loop");
+    let (server, client) = tcp_pair(&pool);
     // Echo server: every received frame is decoded, re-encoded, and sent
     // back — one full round trip measures 2× (encode + frame + decode).
-    let (server, client) = tcp_pair();
     let echo = std::thread::spawn(move || {
         while let Ok(msg) = server.recv() {
             if server.send(&msg).is_err() {

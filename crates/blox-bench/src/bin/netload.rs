@@ -2,7 +2,7 @@
 //! scheduler transport.
 //!
 //! Boots a real `NetBackend` on the readiness event loop, one in-process
-//! node-manager daemon (timer-wheel heartbeats), and drives open-loop
+//! node-manager daemon, and drives open-loop
 //! `SubmitJob` traffic at a configured aggregate rate across many
 //! concurrent client connections — the tens-of-thousands-of-live-clients
 //! regime the event loop exists for. Reports sustained accepted
@@ -35,7 +35,7 @@ use blox_core::manager::{ExecMode, RunConfig, StopCondition};
 use blox_net::loadgen::{run as loadgen_run, LoadReport, LoadgenConfig};
 use blox_net::node::{spawn_node, NodeConfig};
 use blox_net::sched::{serve, NetBackend, SchedulerConfig};
-use blox_net::{PollerKind, TransportKind};
+use blox_net::PollerKind;
 use blox_policies::admission::AcceptAll;
 use blox_policies::placement::ConsolidatedPlacement;
 use blox_policies::scheduling::Fifo;
@@ -88,7 +88,6 @@ fn measure(m: &Measure) -> (LoadReport, f64, u64) {
             time_scale: TIME_SCALE,
             emu_iter_sim_s: 30.0,
         },
-        transport: TransportKind::EvLoop,
         poller: m.poller,
         listen_backlog: m.backlog,
         ..SchedulerConfig::default()
@@ -96,12 +95,8 @@ fn measure(m: &Measure) -> (LoadReport, f64, u64) {
     .expect("bind evloop scheduler");
     let addr = backend.addr();
     let node = spawn_node(NodeConfig {
-        sched: addr,
-        gpus: 4,
-        reconnect: false,
-        faults: None,
-        transport: TransportKind::EvLoop,
         poller: m.poller,
+        ..NodeConfig::new(addr, 4, false)
     });
 
     // The serve loop must outlive the connect ramp, the send window and

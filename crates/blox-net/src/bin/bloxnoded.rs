@@ -5,17 +5,16 @@
 //!
 //! ```text
 //! bloxnoded --sched 127.0.0.1:PORT [--gpus 4] [--no-reconnect]
-//!           [--transport threads|evloop] [--poller auto|epoll|poll]
+//!           [--poller auto|epoll|poll]
 //! ```
 
 use blox_net::node::{run_node, NodeConfig};
-use blox_net::{PollerKind, TransportKind};
+use blox_net::PollerKind;
 
 fn main() {
     let mut sched: Option<String> = None;
     let mut gpus = 4u32;
     let mut reconnect = true;
-    let mut transport = TransportKind::Threads;
     let mut poller = PollerKind::Auto;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -29,13 +28,6 @@ fn main() {
                     .expect("--gpus u32")
             }
             "--no-reconnect" => reconnect = false,
-            "--transport" => {
-                transport = it
-                    .next()
-                    .expect("missing value for --transport")
-                    .parse()
-                    .expect("--transport threads|evloop")
-            }
             "--poller" => {
                 poller = it
                     .next()
@@ -50,14 +42,10 @@ fn main() {
         .expect("--sched ADDR is required")
         .parse()
         .expect("--sched must be a socket address");
-    println!("bloxnoded: serving {gpus} GPUs for scheduler {sched} over {transport}");
+    println!("bloxnoded: serving {gpus} GPUs for scheduler {sched}");
     run_node(&NodeConfig {
-        sched,
-        gpus,
-        reconnect,
-        faults: None,
-        transport,
         poller,
+        ..NodeConfig::new(sched, gpus, reconnect)
     })
     .expect("node daemon");
     println!("bloxnoded: shut down");

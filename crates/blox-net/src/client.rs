@@ -1,5 +1,6 @@
 //! `blox-submit`: inject jobs into a live scheduler's wait queue over the
 //! wire, enabling open-loop online traffic instead of pre-loaded traces.
+//! Each call opens one [`EvTransport`] on the process-wide event loop.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -9,7 +10,7 @@ use blox_core::ids::JobId;
 use blox_runtime::runtime::SimClock;
 use blox_runtime::wire::{Message, Transport};
 
-use crate::tcp::TcpTransport;
+use crate::event_loop::{global_pool, EvTransport};
 
 /// One job submission request.
 #[derive(Debug, Clone)]
@@ -22,7 +23,7 @@ pub struct JobRequest {
     pub model: String,
 }
 
-fn submit_one(link: &TcpTransport, req: &JobRequest) -> Result<JobId> {
+fn submit_one(link: &EvTransport, req: &JobRequest) -> Result<JobId> {
     link.send(&Message::SubmitJob {
         gpus: req.gpus,
         total_iters: req.total_iters,
@@ -39,7 +40,7 @@ fn submit_one(link: &TcpTransport, req: &JobRequest) -> Result<JobId> {
 
 /// Submit a batch of jobs immediately; returns the assigned ids in order.
 pub fn submit(sched: SocketAddr, requests: &[JobRequest]) -> Result<Vec<JobId>> {
-    let link = TcpTransport::connect(sched)?;
+    let link = EvTransport::connect(sched, global_pool())?;
     requests.iter().map(|r| submit_one(&link, r)).collect()
 }
 
@@ -55,7 +56,7 @@ pub fn submit_paced(
     count: u64,
     rate: f64,
 ) -> Result<Vec<JobId>> {
-    let link = TcpTransport::connect(sched)?;
+    let link = EvTransport::connect(sched, global_pool())?;
     let msg = Message::SubmitJob {
         gpus: req.gpus,
         total_iters: req.total_iters,
@@ -102,7 +103,7 @@ pub fn submit_timed(
     timeline: &[(f64, JobRequest)],
     time_scale: f64,
 ) -> Result<Vec<JobId>> {
-    let link = TcpTransport::connect(sched)?;
+    let link = EvTransport::connect(sched, global_pool())?;
     let clock = SimClock::new(time_scale);
     let mut ids = Vec::with_capacity(timeline.len());
     for (arrival, req) in timeline {

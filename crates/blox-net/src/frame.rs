@@ -1,18 +1,15 @@
-//! The one u32 length-prefix framing implementation both TCP engines use.
+//! The u32 length-prefix framing of the wire protocol.
 //!
 //! TCP is a byte stream; every [`Message`] crosses it as
-//! `[len: u32 LE][payload: len bytes]`. The thread-per-connection
-//! transport ([`crate::tcp`]) and the readiness-driven event loop
-//! ([`crate::event_loop`]) both encode with [`encode_frame`] /
-//! [`encode_frame_into`] and both reassemble with [`FrameBuf`], so a
-//! framing bug cannot exist in one engine and not the other.
+//! `[len: u32 LE][payload: len bytes]`. The event loop
+//! ([`crate::event_loop`]) encodes with [`encode_shared`] (built on
+//! [`encode_frame_into`]) and reassembles with [`FrameBuf`].
 //!
 //! A length prefix above [`MAX_FRAME_BYTES`] is rejected *before* any
 //! allocation happens: a corrupt or hostile prefix must cost an error,
 //! not 4 GiB of memory.
 
 use std::cell::RefCell;
-use std::io::Read;
 use std::sync::Arc;
 
 use blox_core::error::{BloxError, Result};
@@ -174,36 +171,6 @@ impl FrameBuf {
         if self.start >= COMPACT_BYTES {
             self.buf.drain(..self.start);
             self.start = 0;
-        }
-    }
-}
-
-/// Blocking read of one frame payload from a byte stream, buffering any
-/// over-read bytes in `buf` for the next call (a `Read` gives no
-/// message boundaries back).
-pub fn read_frame(stream: &mut impl Read, buf: &mut FrameBuf) -> std::io::Result<Vec<u8>> {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match buf.try_decode() {
-            Ok(Some(payload)) => return Ok(payload),
-            Ok(None) => {}
-            Err(e) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    e.to_string(),
-                ))
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
 }

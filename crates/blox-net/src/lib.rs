@@ -7,22 +7,17 @@
 //! *same* `WorkerManager` code over framed loopback TCP between real OS
 //! processes:
 //!
-//! * [`frame`] — the one u32 length-prefix framing implementation
-//!   (encode + streaming reassembly with an oversize guard) both TCP
-//!   engines share;
-//! * [`tcp`] — a [`TcpTransport`] implementing the
-//!   runtime's `Transport` contract with length-prefixed frames over
-//!   `std::net` sockets (no new dependencies), one reader thread per
-//!   connection;
+//! * [`frame`] — the u32 length-prefix framing (encode + streaming
+//!   reassembly with an oversize guard);
 //! * [`poller`] — the readiness backends: `epoll(7)` (Linux, O(ready)
 //!   wakeups) and `poll(2)` (portable fallback) behind one persistent-
 //!   registration [`poller::ReadinessPoller`] contract;
 //! * [`outq`] — the zero-copy outbound queue: refcounted
 //!   [`frame::SharedFrame`] chunks drained by `writev(2)` scatter-gather
 //!   with exact partial-write accounting;
-//! * [`event_loop`] — the readiness-driven engine: a sharded loop owning
-//!   all connections in a slab, with batched decode, write
-//!   backpressure, and timer-wheel heartbeats — the same wire protocol
+//! * [`event_loop`] — the one TCP engine: a readiness loop owning all
+//!   connections in a slab, with batched decode and write backpressure,
+//!   implementing the runtime's `Transport` / `WireSender` contracts
 //!   with no per-connection threads, for tens of thousands of clients;
 //! * [`loadgen`] — open-loop SubmitJob traffic generation (the
 //!   `blox-loadgen` binary) with submit→accepted latency percentiles;
@@ -33,9 +28,11 @@
 //!   feed `ClusterState` churn (node loss → lease revocation → requeue;
 //!   reconnection → node re-add);
 //! * [`node`] — the `bloxnoded` side: registration, clock sync,
-//!   heartbeating, and command serving around the shared `WorkerManager`;
+//!   heartbeating (one beat thread per node), and command serving around
+//!   the shared `WorkerManager`;
 //! * [`client`] — the `blox-submit` side: live job submission into the
-//!   scheduler's wait queue over the same wire.
+//!   scheduler's wait queue over the same wire, on a one-connection
+//!   [`EvTransport`].
 //!
 //! Every listener binds `127.0.0.1:0` by default (ephemeral ports), so
 //! parallel test runs and co-located daemons never collide; the chosen
@@ -51,12 +48,11 @@ pub mod node;
 pub mod outq;
 pub mod poller;
 pub mod sched;
-pub mod tcp;
 
 pub use client::{submit, submit_paced, submit_timed, JobRequest};
 pub use event_loop::{
-    global_pool, shared_pool, Delivery, EvLoopConfig, EvLoopPool, EvSender, EvTransport,
-    LinkSender, LoopEvent, Token, TransportKind,
+    global_pool, shared_pool, Delivery, EvLoopConfig, EvLoopPool, EvSender, EvTransport, LoopEvent,
+    Token, TransportKind,
 };
 pub use frame::{
     encode_frame, encode_frame_into, encode_shared, FrameBuf, SharedFrame, MAX_FRAME_BYTES,
@@ -69,4 +65,3 @@ pub use sched::{
     read_checkpoint, serve, serve_with, write_checkpoint, NetBackend, NetReport, RecoveryOptions,
     SchedulerConfig,
 };
-pub use tcp::{TcpSender, TcpTransport};

@@ -9,11 +9,10 @@
 //! re-registration — the scheduler sees the return as a fresh node joining
 //! (node re-add churn).
 //!
-//! The scheduler link runs on either TCP engine
-//! ([`NodeConfig::transport`]): under `Threads` a background thread
-//! sleeps between heartbeats; under `EvLoop` the beats are timer-wheel
-//! entries on the shared event loop and the daemon spawns no
-//! per-connection threads at all.
+//! The scheduler link is an [`EvTransport`] on the process-wide event
+//! loop for [`NodeConfig::poller`]. Heartbeats are paced by one beat
+//! thread per session, sending through the same (possibly
+//! fault-decorated) sender as every status report.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,9 +28,8 @@ use blox_runtime::runtime::{RuntimeConfig, ServeEnd, SimClock, WorkerManager};
 use blox_runtime::wire::{Message, Transport, WireSender};
 use parking_lot::Mutex;
 
-use crate::event_loop::{shared_pool, EvTransport, LinkSender, TransportKind};
+use crate::event_loop::{shared_pool, EvSender, EvTransport, TransportKind};
 use crate::poller::PollerKind;
-use crate::tcp::TcpTransport;
 
 /// Node-manager daemon configuration.
 #[derive(Debug, Clone)]
@@ -50,10 +48,10 @@ pub struct NodeConfig {
     /// Commands (scheduler → node) and status/heartbeat traffic
     /// (node → scheduler) draw from two decorrelated per-node streams.
     pub faults: Option<FaultPlan>,
-    /// Which TCP engine carries the scheduler link.
+    /// Unread; see [`TransportKind`].
     pub transport: TransportKind,
-    /// Readiness backend for the event-loop engine (`Auto` picks epoll
-    /// on Linux; ignored under `TransportKind::Threads`).
+    /// Readiness backend of the event loop carrying the scheduler link
+    /// (`Auto` picks epoll on Linux).
     pub poller: PollerKind,
 }
 
@@ -65,7 +63,7 @@ impl NodeConfig {
             gpus,
             reconnect,
             faults: None,
-            transport: TransportKind::Threads,
+            transport: TransportKind::EvLoop,
             poller: PollerKind::Auto,
         }
     }
@@ -73,19 +71,9 @@ impl NodeConfig {
 
 /// One registration session: register, get assigned, serve until the
 /// link drops or the scheduler orders a shutdown.
-fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<LinkSender>>) -> Result<ServeEnd> {
-    let (link, raw_sender): (Box<dyn Transport>, LinkSender) = match cfg.transport {
-        TransportKind::Threads => {
-            let t = TcpTransport::connect(cfg.sched)?;
-            let s = LinkSender::Thread(t.sender());
-            (Box::new(t), s)
-        }
-        TransportKind::EvLoop => {
-            let t = EvTransport::connect(cfg.sched, shared_pool(cfg.poller))?;
-            let s = LinkSender::Ev(t.sender());
-            (Box::new(t), s)
-        }
-    };
+fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<EvSender>>) -> Result<ServeEnd> {
+    let link = EvTransport::connect(cfg.sched, shared_pool(cfg.poller))?;
+    let raw_sender = link.sender();
     *live.lock() = Some(raw_sender.clone());
     link.send(&Message::RegisterWorker {
         node: NodeId(0), // Placeholder: identity is assigned by the scheduler.
@@ -121,15 +109,14 @@ fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<LinkSender>>) -> Result<S
 
     // The serving path may be routed through the fault-injection
     // decorators below; `raw_sender` stays raw for the teardown shutdown.
-    let faulty = matches!(&cfg.faults, Some(plan) if !plan.is_quiet());
     let (cmd, up): (Box<dyn Transport>, Box<dyn WireSender>) = match &cfg.faults {
-        Some(plan) if faulty => {
+        Some(plan) if !plan.is_quiet() => {
             // Two decorrelated decision streams per node: even stream ids
             // for the command direction, odd for status/heartbeats.
             let link_id = 2 * u64::from(node.0);
             (
                 Box::new(FaultyTransport::new(
-                    link,
+                    Box::new(link),
                     plan.state(link_id),
                     clock.clone(),
                 )),
@@ -140,47 +127,35 @@ fn serve_session(cfg: &NodeConfig, live: &Mutex<Option<LinkSender>>) -> Result<S
                 )),
             )
         }
-        _ => (link, Box::new(raw_sender.clone())),
+        _ => (Box::new(link), Box::new(raw_sender.clone())),
     };
 
-    // Liveness beacons; the failure detector declares this node dead
-    // after a configurable number of missed intervals. On the event loop
-    // (fault-free case) the beats ride the loop's timer wheel — no
-    // thread. With faults active they must pass through the decorated
-    // sender, so a beater thread paces them instead.
+    // Liveness beacons through `up`, so fault injection applies to them
+    // like any other status traffic; the failure detector declares this
+    // node dead after a configurable number of missed intervals.
     let hb_wall = Duration::from_secs_f64((heartbeat_sim_s * time_scale).max(1e-3));
     let hb_stop = Arc::new(AtomicBool::new(false));
-    let heartbeat: Option<JoinHandle<()>> = match &raw_sender {
-        LinkSender::Ev(s) if !faulty => {
-            s.start_heartbeat(node, hb_wall);
-            None
+    let hb_stop2 = hb_stop.clone();
+    let hb_tx = up.clone_sender();
+    let heartbeat = std::thread::spawn(move || {
+        let mut seq = 0u64;
+        while !hb_stop2.load(Ordering::Relaxed) {
+            if hb_tx.send(&Message::Heartbeat { node, seq }).is_err() {
+                return;
+            }
+            seq += 1;
+            std::thread::sleep(hb_wall);
         }
-        _ => {
-            let hb_stop2 = hb_stop.clone();
-            let hb_tx = up.clone_sender();
-            Some(std::thread::spawn(move || {
-                let mut seq = 0u64;
-                while !hb_stop2.load(Ordering::Relaxed) {
-                    if hb_tx.send(&Message::Heartbeat { node, seq }).is_err() {
-                        return;
-                    }
-                    seq += 1;
-                    std::thread::sleep(hb_wall);
-                }
-            }))
-        }
-    };
+    });
 
     let end = manager.serve(cmd.as_ref(), up.as_ref());
     hb_stop.store(true, Ordering::Relaxed);
     raw_sender.shutdown();
-    if let Some(t) = heartbeat {
-        let _ = t.join();
-    }
+    let _ = heartbeat.join();
     Ok(end)
 }
 
-fn run_with(cfg: &NodeConfig, stop: &AtomicBool, live: &Mutex<Option<LinkSender>>) -> Result<()> {
+fn run_with(cfg: &NodeConfig, stop: &AtomicBool, live: &Mutex<Option<EvSender>>) -> Result<()> {
     loop {
         if stop.load(Ordering::Relaxed) {
             return Ok(());
@@ -207,7 +182,7 @@ pub fn run_node(cfg: &NodeConfig) -> Result<()> {
 /// Handle onto an in-process node daemon thread (tests, examples).
 pub struct NodeHandle {
     stop: Arc<AtomicBool>,
-    live: Arc<Mutex<Option<LinkSender>>>,
+    live: Arc<Mutex<Option<EvSender>>>,
     thread: JoinHandle<Result<()>>,
 }
 

@@ -5,9 +5,10 @@
 //! and placement policy — drives a cluster of real `bloxnoded` processes
 //! over TCP:
 //!
-//! * a listener thread accepts worker and client connections on an
-//!   ephemeral loopback port (`127.0.0.1:0` by default) and streams their
-//!   decoded messages into one event channel;
+//! * an accept thread takes worker and client connections on an
+//!   ephemeral loopback port (`127.0.0.1:0` by default) and registers
+//!   them with the backend's event loop, which decodes their messages
+//!   into one event channel;
 //! * worker registrations grow the shared [`ClusterState`] and are answered
 //!   with an [`Message::AssignNode`] carrying identity, a clock-sync point,
 //!   and the heartbeat contract;
@@ -43,11 +44,10 @@ use blox_workloads::ModelZoo;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::event_loop::{
-    Delivery, EvLoopConfig, EvLoopPool, LinkSender, LoopEvent, Token, TransportKind,
+    Delivery, EvLoopConfig, EvLoopPool, EvSender, LoopEvent, Token, TransportKind,
 };
-use crate::frame::{encode_shared, read_frame, FrameBuf};
+use crate::frame::encode_shared;
 use crate::poller::PollerKind;
-use crate::tcp::{listen_with_backlog, TcpSender};
 
 /// Floor on the failure-detection deadline, in wall seconds: below this,
 /// OS scheduling jitter on a loopback deployment would yield spurious
@@ -72,15 +72,10 @@ pub struct SchedulerConfig {
     /// `Progress`, and `JobDone` messages on a lossy link. `0` disables
     /// stall detection.
     pub stall_rounds: u32,
-    /// Which TCP engine serves the listener: one reader thread per
-    /// connection, or the readiness-driven event loop (required past a
-    /// few hundred concurrent clients).
+    /// Unread; see [`TransportKind`].
     pub transport: TransportKind,
-    /// Event-loop shard count (ignored under `TransportKind::Threads`).
-    pub ev_shards: usize,
-    /// Readiness backend the event-loop shards run on (`Auto` picks
-    /// epoll on Linux, poll elsewhere; ignored under
-    /// `TransportKind::Threads`).
+    /// Readiness backend the event loop runs on (`Auto` picks epoll on
+    /// Linux, poll elsewhere).
     pub poller: PollerKind,
     /// `listen(2)` backlog for the accept socket. A connect burst from a
     /// ramping client fleet beyond this depth gets SYNs dropped and
@@ -100,8 +95,7 @@ impl Default for SchedulerConfig {
             heartbeat_sim_s: 60.0,
             heartbeat_misses: 3,
             stall_rounds: 10,
-            transport: TransportKind::Threads,
-            ev_shards: 1,
+            transport: TransportKind::EvLoop,
             poller: PollerKind::Auto,
             listen_backlog: 1024,
             pod: 0,
@@ -138,61 +132,100 @@ enum Role {
 }
 
 struct Conn {
-    sender: LinkSender,
+    sender: EvSender,
     role: Role,
 }
 
-/// Thread-engine accept loop: one blocking reader thread per accepted
-/// connection, all decoding into the shared event channel.
-fn listen_loop(listener: TcpListener, events: Sender<LoopEvent>, stop: Arc<AtomicBool>) {
-    let _ = listener.set_nonblocking(true);
-    let mut next: u64 = 0;
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let id = Token::from_raw(next);
-                next += 1;
-                let _ = stream.set_nodelay(true);
-                let Ok(mut reader) = stream.try_clone() else {
-                    continue;
-                };
-                if events
-                    .send(LoopEvent::Connected(
-                        id,
-                        LinkSender::Thread(TcpSender::new(stream)),
-                    ))
-                    .is_err()
-                {
-                    return; // Backend gone.
-                }
-                let events = events.clone();
-                std::thread::spawn(move || {
-                    let mut buf = FrameBuf::new();
-                    while let Ok(frame) = read_frame(&mut reader, &mut buf) {
-                        // A frame that fails to decode is a protocol
-                        // violation: drop the connection.
-                        let Ok(msg) = Message::decode(&frame) else {
-                            break;
-                        };
-                        if events
-                            .send(LoopEvent::Msg(id, msg, Instant::now()))
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    let _ = events.send(LoopEvent::Closed(id));
-                });
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
+/// Bind a TCP listener with an explicit `listen(2)` backlog.
+///
+/// `std::net::TcpListener::bind` hardcodes a backlog of 128, which a
+/// connect burst from thousands of ramping clients overflows — the
+/// kernel then drops or resets SYNs and the ramp stalls on retries.
+/// The effective ceiling is `net.core.somaxconn`; asking for more is
+/// silently clamped by the kernel, never an error.
+///
+/// IPv4 only (every blox listener binds loopback v4); non-Linux hosts
+/// fall back to the std bind and its default backlog.
+#[cfg(target_os = "linux")]
+pub fn listen_with_backlog(addr: SocketAddr, backlog: i32) -> std::io::Result<TcpListener> {
+    use std::os::unix::io::FromRawFd;
+
+    let SocketAddr::V4(v4) = addr else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "listen_with_backlog supports IPv4 addresses only",
+        ));
+    };
+
+    /// `struct sockaddr_in` as the kernel lays it out: family, then
+    /// port and address in network byte order, padded to 16 bytes.
+    #[repr(C)]
+    struct SockAddrIn {
+        family: u16,
+        port: u16,
+        addr: u32,
+        zero: [u8; 8],
     }
+    extern "C" {
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
+        fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
+        fn listen(fd: i32, backlog: i32) -> i32;
+        fn close(fd: i32) -> i32;
+    }
+    const AF_INET: i32 = 2;
+    const SOCK_STREAM: i32 = 1;
+    const SOCK_CLOEXEC: i32 = 0o2000000;
+    const SOL_SOCKET: i32 = 1;
+    const SO_REUSEADDR: i32 = 2;
+
+    // SAFETY: socket(2) takes plain integers and touches no memory.
+    let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    let fail = |fd: i32| {
+        let err = std::io::Error::last_os_error();
+        // SAFETY: `fd` is the socket created above, owned here and not
+        // yet handed to a `TcpListener`, so it is closed exactly once.
+        unsafe { close(fd) };
+        Err(err)
+    };
+    let one = 1i32;
+    // SAFETY: `optval` points at a live i32 and `optlen` is its size.
+    if unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) } < 0 {
+        return fail(fd);
+    }
+    let sa = SockAddrIn {
+        family: AF_INET as u16,
+        port: v4.port().to_be(),
+        addr: u32::from(*v4.ip()).to_be(),
+        zero: [0; 8],
+    };
+    // SAFETY: `sa` is a live `#[repr(C)]` sockaddr_in and `len` is its
+    // exact size; the kernel only reads it.
+    if unsafe { bind(fd, &sa, std::mem::size_of::<SockAddrIn>() as u32) } < 0 {
+        return fail(fd);
+    }
+    // SAFETY: listen(2) takes plain integers and touches no memory.
+    if unsafe { listen(fd, backlog.max(1)) } < 0 {
+        return fail(fd);
+    }
+    // SAFETY: `fd` is an open, bound, listening socket that nothing else
+    // owns; the `TcpListener` takes sole ownership and closes it on drop.
+    Ok(unsafe { TcpListener::from_raw_fd(fd) })
 }
 
-/// Event-loop-engine accept loop: every accepted socket is registered
-/// with the shared pool, which decodes and stamps messages itself — no
-/// per-connection thread is ever spawned.
-fn accept_loop_ev(
+/// Non-Linux fallback: the std bind and its default backlog (128).
+#[cfg(not(target_os = "linux"))]
+pub fn listen_with_backlog(addr: SocketAddr, _backlog: i32) -> std::io::Result<TcpListener> {
+    TcpListener::bind(addr)
+}
+
+/// Accept loop: every accepted socket is registered with the backend's
+/// pool, which decodes and stamps messages itself — no per-connection
+/// thread is ever spawned.
+fn accept_loop(
     listener: TcpListener,
     pool: Arc<EvLoopPool>,
     events: Sender<LoopEvent>,
@@ -221,11 +254,10 @@ pub struct NetBackend {
     addr: SocketAddr,
     events: Receiver<LoopEvent>,
     stop: Arc<AtomicBool>,
-    /// Keeps the event-loop shards alive (None under the thread engine).
-    /// `Drop for NetBackend` broadcasts Shutdown frames before this Arc
-    /// falls; per-shard command queues are FIFO, so those frames flush
-    /// before the pool's Stop closes the loops.
-    _pool: Option<Arc<EvLoopPool>>,
+    /// Keeps the event loop alive. `Drop for NetBackend` broadcasts
+    /// Shutdown frames before this Arc falls; the loop's command queue is
+    /// FIFO, so those frames flush before the pool's Stop closes it.
+    _pool: Arc<EvLoopPool>,
     conns: BTreeMap<Token, Conn>,
     node_conn: BTreeMap<NodeId, Token>,
     /// Wall-clock arrival time of each live node's last heartbeat.
@@ -279,22 +311,12 @@ impl NetBackend {
         let (tx, events) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let pool = match cfg.transport {
-            TransportKind::Threads => {
-                std::thread::spawn(move || listen_loop(listener, tx, stop2));
-                None
-            }
-            TransportKind::EvLoop => {
-                let pool = Arc::new(EvLoopPool::new(EvLoopConfig {
-                    shards: cfg.ev_shards.max(1),
-                    poller: cfg.poller,
-                    ..EvLoopConfig::default()
-                })?);
-                let pool2 = pool.clone();
-                std::thread::spawn(move || accept_loop_ev(listener, pool2, tx, stop2));
-                Some(pool)
-            }
-        };
+        let pool = Arc::new(EvLoopPool::new(EvLoopConfig {
+            poller: cfg.poller,
+            ..EvLoopConfig::default()
+        })?);
+        let pool2 = pool.clone();
+        std::thread::spawn(move || accept_loop(listener, pool2, tx, stop2));
         let clock = Arc::new(SimClock::new(cfg.runtime.time_scale));
         Ok(NetBackend {
             addr,
@@ -483,8 +505,14 @@ impl NetBackend {
         at: Instant,
         cluster: &mut ClusterState,
     ) {
+        // Node ids on the wire are claims, not credentials: a connection
+        // registers at most once, and only beats for the node it became.
+        let role = self.conns.get(&id).map(|c| c.role);
         match msg {
             Message::RegisterWorker { gpus, .. } => {
+                if role != Some(Role::Pending) {
+                    return;
+                }
                 let node = self.adopt_or_add(gpus, cluster);
                 let now_sim = self.clock.sim_now();
                 self.node_conn.insert(node, id);
@@ -503,8 +531,10 @@ impl NetBackend {
                 }
             }
             Message::Heartbeat { node, .. } => {
-                if self.last_hb.contains_key(&node) {
-                    self.last_hb.insert(node, at);
+                if role == Some(Role::Worker(node)) {
+                    if let Some(last) = self.last_hb.get_mut(&node) {
+                        *last = at;
+                    }
                 }
             }
             Message::SubmitJob {
@@ -693,8 +723,8 @@ impl NetBackend {
     }
 
     /// Send one command to a worker. A failed send is a failure-detector
-    /// verdict in its own right: the link is poisoned (thread engine) or
-    /// closed (event loop), so the node is declared dead immediately —
+    /// verdict in its own right: the loop has closed the link, so the
+    /// node is declared dead immediately —
     /// its jobs requeue on the next `update_metrics` — instead of
     /// waiting out the heartbeat deadline on a corpse.
     fn send_to(&mut self, node: NodeId, msg: &Message, cluster: &mut ClusterState) {
@@ -753,7 +783,7 @@ impl NetBackend {
 impl Drop for NetBackend {
     fn drop(&mut self) {
         // Orderly teardown: tell every worker to exit, stop the listener,
-        // and close all sockets so reader threads unblock. The Shutdown
+        // and close all sockets. The Shutdown
         // broadcast is the canonical fan-out frame: encoded once, shared
         // by `Arc` across every worker's outbound queue.
         self.stop.store(true, Ordering::Relaxed);
@@ -1093,7 +1123,122 @@ pub fn serve_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_loop::{global_pool, EvTransport};
     use blox_core::profile::JobProfile;
+    use blox_runtime::wire::Transport;
+    use std::net::TcpStream;
+
+    #[test]
+    fn listen_with_backlog_binds_and_accepts() {
+        let listener =
+            listen_with_backlog("127.0.0.1:0".parse().unwrap(), 1024).expect("bind with backlog");
+        let addr = listener.local_addr().expect("ephemeral addr assigned");
+        assert_ne!(addr.port(), 0);
+        let t = std::thread::spawn(move || TcpStream::connect(addr).expect("connect"));
+        let (stream, _) = listener.accept().expect("accept");
+        drop(t.join().unwrap());
+        drop(stream);
+    }
+
+    /// Send `msg` on `link` and poll `backend` until `link` hears a reply.
+    fn exchange(
+        backend: &mut NetBackend,
+        cluster: &mut ClusterState,
+        link: &EvTransport,
+        msg: Message,
+    ) -> Message {
+        link.send(&msg).expect("send");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            backend.poll(cluster);
+            if let Some(reply) = link.try_recv().expect("link alive") {
+                return reply;
+            }
+            assert!(Instant::now() < deadline, "no reply to {msg:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn register(
+        backend: &mut NetBackend,
+        cluster: &mut ClusterState,
+        link: &EvTransport,
+    ) -> NodeId {
+        let register = Message::RegisterWorker {
+            node: NodeId(0),
+            gpus: 4,
+        };
+        match exchange(backend, cluster, link, register) {
+            Message::AssignNode { node, .. } => node,
+            other => panic!("expected AssignNode, got {other:?}"),
+        }
+    }
+
+    /// A heartbeat counts only on the connection that registered its
+    /// node: beats another connection sends in a silent worker's name do
+    /// not keep that worker alive.
+    #[test]
+    fn beats_forged_by_another_connection_cannot_keep_a_silent_worker_alive() {
+        let mut backend = NetBackend::bind(SchedulerConfig {
+            runtime: RuntimeConfig {
+                time_scale: 1e-3,
+                emu_iter_sim_s: 30.0,
+            },
+            ..SchedulerConfig::default()
+        })
+        .expect("bind ephemeral");
+        let mut cluster = ClusterState::new();
+        let worker = EvTransport::connect(backend.addr(), global_pool()).expect("connect worker");
+        let node = register(&mut backend, &mut cluster, &worker);
+
+        // The worker falls silent with its link open; a client connection
+        // beats in its name for three detection deadlines.
+        let forger = EvTransport::connect(backend.addr(), global_pool()).expect("connect forger");
+        let until = Instant::now() + backend.heartbeat_deadline() * 3;
+        let mut seq = 0;
+        while Instant::now() < until {
+            forger
+                .send(&Message::Heartbeat { node, seq })
+                .expect("forged beat");
+            seq += 1;
+            std::thread::sleep(Duration::from_millis(20));
+            backend.update_cluster(&mut cluster);
+        }
+        assert_eq!(
+            backend.failures_detected(),
+            1,
+            "silent worker declared dead"
+        );
+        assert_eq!(cluster.node(node).map(|n| n.alive), Some(false));
+    }
+
+    /// A connection registers at most once: a second `RegisterWorker` on
+    /// a registered link adds no phantom node.
+    #[test]
+    fn a_link_registers_at_most_once() {
+        let mut backend = NetBackend::bind(SchedulerConfig::default()).expect("bind ephemeral");
+        let mut cluster = ClusterState::new();
+        let link = EvTransport::connect(backend.addr(), global_pool()).expect("connect");
+        register(&mut backend, &mut cluster, &link);
+        link.send(&Message::RegisterWorker {
+            node: NodeId(0),
+            gpus: 4,
+        })
+        .expect("second register");
+        // The link's next reply is to this submission, so the second
+        // registration (sent before it) has been processed.
+        let submit = Message::SubmitJob {
+            gpus: 1,
+            total_iters: 1.0,
+            model: "probe".into(),
+        };
+        assert!(matches!(
+            exchange(&mut backend, &mut cluster, &link, submit),
+            Message::JobAccepted { .. }
+        ));
+        assert_eq!(backend.nodes_joined(), 1);
+        assert_eq!(cluster.total_gpus(), 4);
+    }
 
     fn flat_running_job(id: u64) -> Job {
         let mut j = Job::new(JobId(id), 0.0, 1, 1e6, JobProfile::synthetic("t", 1.0));

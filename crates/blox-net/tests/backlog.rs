@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use blox_net::tcp::listen_with_backlog;
+use blox_net::sched::listen_with_backlog;
 
 mod common;
 use common::watchdog;

@@ -1,10 +1,10 @@
 //! Epoll differential suite: every cluster scenario replayed on the
-//! event-loop transport with the epoll(7) readiness backend pinned, plus
-//! the slow-reader disconnect bound on an epoll pool.
+//! event loop with the epoll(7) readiness backend pinned, plus the
+//! slow-reader disconnect bound on an epoll pool.
 //!
 //! The scenario bodies in `tests/scenarios/` are byte-for-byte the ones
-//! `tests/cluster.rs` (threads) and `tests/evloop.rs` (poll) run; a
-//! divergence here is an epoll-backend bug, not test drift.
+//! `tests/evloop.rs` runs on poll; a divergence here is an
+//! epoll-backend bug, not test drift.
 
 #![cfg(target_os = "linux")]
 
@@ -21,32 +21,31 @@ mod scenarios;
 use common::watchdog;
 
 /// Differential fidelity: the epoll deployment must produce the same JCT
-/// stats as the in-process runtime (and therefore as the thread and poll
-/// engines, which pass the identical assertion).
+/// stats as the in-process runtime (and therefore as the poll backend,
+/// which passes the identical assertion).
 #[test]
 fn epoll_jct_matches_in_process_runtime() {
-    scenarios::fidelity_scenario(scenarios::Engine::EVLOOP_EPOLL);
+    scenarios::fidelity_scenario(PollerKind::Epoll);
 }
 
 /// Differential churn: a mid-run node crash on the epoll backend must
 /// trigger the same detect → revoke → requeue → finish sequence.
 #[test]
 fn epoll_node_crash_triggers_churn_and_jobs_still_finish() {
-    scenarios::churn_scenario(scenarios::Engine::EVLOOP_EPOLL);
+    scenarios::churn_scenario(PollerKind::Epoll);
 }
 
-/// Differential heartbeats: timer-wheel beats over epoll must satisfy the
-/// same missed-deadline detector, and a silent worker must still be
-/// caught.
+/// Differential heartbeats: a silent worker must be caught by the
+/// missed-deadline detector on epoll too.
 #[test]
 fn epoll_silent_worker_trips_heartbeat_deadline() {
-    scenarios::heartbeat_scenario(scenarios::Engine::EVLOOP_EPOLL);
+    scenarios::heartbeat_scenario(PollerKind::Epoll);
 }
 
 /// Differential open-loop gap handling on the epoll backend.
 #[test]
 fn epoll_submission_gap_does_not_end_run_early() {
-    scenarios::submission_gap_scenario(scenarios::Engine::EVLOOP_EPOLL);
+    scenarios::submission_gap_scenario(PollerKind::Epoll);
 }
 
 /// The slow-client policy must hold on epoll exactly as on poll: a peer

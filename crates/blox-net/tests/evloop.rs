@@ -1,20 +1,18 @@
-//! Event-loop transport suite: the differential replay of every cluster
-//! scenario on the readiness engine, plus the properties only this
-//! engine has — bounded write backpressure and thousand-connection
-//! fan-in on a handful of threads.
+//! Event-loop suite: the replay of every cluster scenario on the poll(2)
+//! readiness backend, plus bounded write backpressure, thousand-
+//! connection fan-in on a handful of threads, and the compiled daemons
+//! end to end.
 //!
 //! The scenario bodies live in `tests/scenarios/` and are byte-for-byte
-//! the ones `tests/cluster.rs` runs on the thread-per-connection engine
-//! and `tests/epoll.rs` runs on the epoll backend: same trace, same
-//! policies, same assertions. This suite pins the portable poll(2)
-//! readiness backend, so it keeps covering that path on machines where
-//! `Auto` resolves to epoll.
+//! the ones `tests/epoll.rs` runs on the epoll backend: same trace, same
+//! policies, same assertions. Pinning poll keeps that path covered on
+//! machines where `Auto` resolves to epoll.
 
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use blox_core::ids::JobId;
-use blox_net::event_loop::{Delivery, EvLoopConfig, EvLoopPool, LinkSender, LoopEvent};
+use blox_net::event_loop::{Delivery, EvLoopConfig, EvLoopPool, EvSender, LoopEvent};
 use blox_net::PollerKind;
 use blox_runtime::wire::Message;
 use crossbeam::channel::unbounded;
@@ -24,31 +22,31 @@ mod scenarios;
 use common::watchdog;
 
 /// Differential fidelity: the event-loop deployment must produce the
-/// same JCT stats as the in-process runtime (and therefore as the
-/// thread transport, which passes the identical assertion).
+/// same JCT stats as the in-process runtime (and therefore as the epoll
+/// backend, which passes the identical assertion).
 #[test]
 fn evloop_jct_matches_in_process_runtime() {
-    scenarios::fidelity_scenario(scenarios::Engine::EVLOOP_POLL);
+    scenarios::fidelity_scenario(PollerKind::Poll);
 }
 
 /// Differential churn: a mid-run node crash on the event loop must
 /// trigger the same detect → revoke → requeue → finish sequence.
 #[test]
 fn evloop_node_crash_triggers_churn_and_jobs_still_finish() {
-    scenarios::churn_scenario(scenarios::Engine::EVLOOP_POLL);
+    scenarios::churn_scenario(PollerKind::Poll);
 }
 
-/// Differential heartbeats: the timer-wheel beats must satisfy the same
-/// missed-deadline detector, and a silent worker must still be caught.
+/// Differential heartbeats: a silent worker must be caught by the
+/// missed-deadline detector.
 #[test]
 fn evloop_silent_worker_trips_heartbeat_deadline() {
-    scenarios::heartbeat_scenario(scenarios::Engine::EVLOOP_POLL);
+    scenarios::heartbeat_scenario(PollerKind::Poll);
 }
 
 /// Differential open-loop gap handling on the event-loop engine.
 #[test]
 fn evloop_submission_gap_does_not_end_run_early() {
-    scenarios::submission_gap_scenario(scenarios::Engine::EVLOOP_POLL);
+    scenarios::submission_gap_scenario(PollerKind::Poll);
 }
 
 /// A peer that stops reading must be disconnected once its outbound
@@ -192,7 +190,7 @@ fn thousand_connections_on_one_pool() {
                         server_links.insert(token, link);
                     }
                     Ok(LoopEvent::Msg(token, Message::SubmitJob { .. }, _)) => {
-                        let link: &LinkSender =
+                        let link: &EvSender =
                             server_links.get(&token).expect("Connected precedes Msg");
                         link.send(&Message::JobAccepted {
                             job: JobId(acked as u64),
@@ -221,9 +219,9 @@ fn thousand_connections_on_one_pool() {
     assert_eq!(acked_total, n);
 }
 
-/// The compiled daemons speak the event loop end-to-end: `bloxschedd
-/// --transport evloop` with `bloxnoded --transport evloop` workers and a
-/// paced `blox-submit --rate` client.
+/// True multi-process end-to-end: the compiled `bloxschedd`, two
+/// `bloxnoded` processes, and a paced `blox-submit --rate` client
+/// cooperate over loopback TCP.
 #[test]
 fn daemon_binaries_run_on_the_event_loop() {
     use std::io::{BufRead, BufReader, Read};
@@ -240,8 +238,6 @@ fn daemon_binaries_run_on_the_event_loop() {
             "tiresias",
             "--time-scale",
             "1e-4",
-            "--transport",
-            "evloop",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -260,7 +256,7 @@ fn daemon_binaries_run_on_the_event_loop() {
     let mut noded: Vec<_> = (0..2)
         .map(|_| {
             Command::new(env!("CARGO_BIN_EXE_bloxnoded"))
-                .args(["--sched", &addr, "--gpus", "4", "--transport", "evloop"])
+                .args(["--sched", &addr, "--gpus", "4"])
                 .stdout(Stdio::null())
                 .stderr(Stdio::null())
                 .spawn()
@@ -307,8 +303,8 @@ fn daemon_binaries_run_on_the_event_loop() {
         "bloxschedd exited with {status:?}: {rest}"
     );
     assert!(
-        rest.contains("summary: jobs=4") && rest.contains("transport=evloop"),
-        "expected a 4-job evloop summary, got: {rest}"
+        rest.contains("summary: jobs=4"),
+        "expected a 4-job summary, got: {rest}"
     );
 }
 

@@ -1,14 +1,12 @@
-//! Transport-parameterized cluster scenarios.
+//! Poller-parameterized cluster scenarios.
 //!
 //! Every white-box integration scenario — JCT fidelity, mid-run crash
 //! churn, heartbeat deadlines, open-loop submission gaps — is written
-//! once here against an [`Engine`] parameter (transport × readiness
-//! poller), then instantiated by `tests/cluster.rs` on the
-//! thread-per-connection engine, by `tests/evloop.rs` on the readiness
-//! event loop pinned to poll(2), and by `tests/epoll.rs` on the epoll
-//! backend. That makes the differential claim structural: all engines
-//! run byte-for-byte the same scenario code, so a divergence is a
-//! transport (or poller) bug, not a test drift.
+//! once here against a readiness [`PollerKind`], then instantiated by
+//! `tests/evloop.rs` on poll(2) and by `tests/epoll.rs` on epoll(7).
+//! That makes the differential claim structural: both pollers run
+//! byte-for-byte the same scenario code, so a divergence is a poller
+//! bug, not a test drift.
 
 #![allow(dead_code)] // each test binary instantiates a subset
 
@@ -19,8 +17,7 @@ use blox_core::manager::{BloxManager, ExecMode, RunConfig, StopCondition};
 use blox_net::client::{submit, submit_timed, JobRequest};
 use blox_net::node::{spawn_node, NodeConfig};
 use blox_net::sched::{serve, NetBackend, NetReport, SchedulerConfig};
-use blox_net::tcp::TcpTransport;
-use blox_net::{PollerKind, TransportKind};
+use blox_net::{global_pool, EvTransport, PollerKind};
 use blox_policies::admission::AcceptAll;
 use blox_policies::placement::ConsolidatedPlacement;
 use blox_policies::scheduling::{Fifo, Tiresias};
@@ -33,54 +30,23 @@ use crate::common::watchdog;
 
 pub const TIME_SCALE: f64 = 1e-4;
 
-/// One point in the transport × readiness-poller matrix the differential
-/// suite replays.
-#[derive(Debug, Clone, Copy)]
-pub struct Engine {
-    pub transport: TransportKind,
-    pub poller: PollerKind,
-}
-
-impl Engine {
-    /// Thread-per-connection transport (the poller field is ignored).
-    pub const THREADS: Engine = Engine {
-        transport: TransportKind::Threads,
-        poller: PollerKind::Auto,
-    };
-    /// Readiness event loop pinned to the portable poll(2) backend.
-    pub const EVLOOP_POLL: Engine = Engine {
-        transport: TransportKind::EvLoop,
-        poller: PollerKind::Poll,
-    };
-    /// Readiness event loop on the epoll(7) backend (Linux only).
-    pub const EVLOOP_EPOLL: Engine = Engine {
-        transport: TransportKind::EvLoop,
-        poller: PollerKind::Epoll,
-    };
-}
-
-/// Scheduler configuration carried by `engine`.
-pub fn sched_config(engine: Engine) -> SchedulerConfig {
+/// Scheduler configuration on `poller`.
+pub fn sched_config(poller: PollerKind) -> SchedulerConfig {
     SchedulerConfig {
         runtime: RuntimeConfig {
             time_scale: TIME_SCALE,
             emu_iter_sim_s: 30.0,
         },
-        transport: engine.transport,
-        poller: engine.poller,
+        poller,
         ..SchedulerConfig::default()
     }
 }
 
-/// Node-manager configuration for one `engine` worker.
-fn node_config(engine: Engine, addr: std::net::SocketAddr) -> NodeConfig {
+/// Node-manager configuration for one 4-GPU worker on `poller`.
+fn node_config(poller: PollerKind, addr: std::net::SocketAddr) -> NodeConfig {
     NodeConfig {
-        sched: addr,
-        gpus: 4,
-        reconnect: false,
-        faults: None,
-        transport: engine.transport,
-        poller: engine.poller,
+        poller,
+        ..NodeConfig::new(addr, 4, false)
     }
 }
 
@@ -93,13 +59,13 @@ pub fn philly_trace(n: usize) -> Trace {
 
 /// Replay `trace` through the networked deployment: `nodes` node-manager
 /// threads over real TCP, jobs injected open-loop by a submission client.
-pub fn run_networked(trace: &Trace, nodes: u32, engine: Engine) -> NetReport {
+pub fn run_networked(trace: &Trace, nodes: u32, poller: PollerKind) -> NetReport {
     let n = trace.jobs.len() as u64;
-    let backend = NetBackend::bind(sched_config(engine)).expect("bind ephemeral");
+    let backend = NetBackend::bind(sched_config(poller)).expect("bind ephemeral");
     let addr = backend.addr();
     assert_ne!(addr.port(), 0, "ephemeral port must be resolved");
     let daemons: Vec<_> = (0..nodes)
-        .map(|_| spawn_node(node_config(engine, addr)))
+        .map(|_| spawn_node(node_config(poller, addr)))
         .collect();
     let timeline: Vec<(f64, JobRequest)> = trace
         .jobs
@@ -142,7 +108,7 @@ pub fn run_networked(trace: &Trace, nodes: u32, engine: Engine) -> NetReport {
 /// Scheduler + 2 node managers replay a small trace through Tiresias and
 /// the final JCT stats must match the in-process `RuntimeBackend` within
 /// tolerance.
-pub fn fidelity_scenario(engine: Engine) {
+pub fn fidelity_scenario(poller: PollerKind) {
     let _wd = watchdog(Duration::from_secs(240), "fidelity scenario");
     let n = 10;
 
@@ -177,7 +143,7 @@ pub fn fidelity_scenario(engine: Engine) {
     assert_eq!(reference.jobs, n);
 
     // Same trace through the real-socket deployment.
-    let report = run_networked(&trace, 2, engine);
+    let report = run_networked(&trace, 2, poller);
     assert_eq!(report.stats.records.len(), n);
     assert_eq!(report.nodes_joined, 2);
     assert_eq!(report.failures_detected, 0);
@@ -198,13 +164,13 @@ pub fn fidelity_scenario(engine: Engine) {
 /// Kill a node mid-run: the failure detector must trigger churn (node
 /// dead, GPUs hidden), revoke leases, requeue the evicted jobs, and the
 /// run must still complete every job on the surviving nodes.
-pub fn churn_scenario(engine: Engine) {
+pub fn churn_scenario(poller: PollerKind) {
     let _wd = watchdog(Duration::from_secs(240), "churn scenario");
     let n = 8u64;
-    let backend = NetBackend::bind(sched_config(engine)).expect("bind ephemeral");
+    let backend = NetBackend::bind(sched_config(poller)).expect("bind ephemeral");
     let addr = backend.addr();
     let mut daemons: Vec<_> = (0..3)
-        .map(|_| spawn_node(node_config(engine, addr)))
+        .map(|_| spawn_node(node_config(poller, addr)))
         .collect();
     let victim = daemons.pop().expect("three daemons");
 
@@ -273,7 +239,7 @@ pub fn churn_scenario(engine: Engine) {
 /// A worker that registers, heartbeats briefly, then falls silent with its
 /// socket still open: only the missed-deadline verdict can catch this
 /// failure mode (the link never drops).
-pub fn heartbeat_scenario(engine: Engine) {
+pub fn heartbeat_scenario(poller: PollerKind) {
     let _wd = watchdog(Duration::from_secs(120), "heartbeat scenario");
     let time_scale = 1e-3;
     let backend = NetBackend::bind(SchedulerConfig {
@@ -283,15 +249,14 @@ pub fn heartbeat_scenario(engine: Engine) {
         },
         heartbeat_sim_s: 60.0,
         heartbeat_misses: 3,
-        transport: engine.transport,
-        poller: engine.poller,
+        poller,
         ..SchedulerConfig::default()
     })
     .expect("bind ephemeral");
     let addr = backend.addr();
 
     let fake = std::thread::spawn(move || {
-        let link = TcpTransport::connect(addr).expect("connect");
+        let link = EvTransport::connect(addr, global_pool()).expect("connect");
         link.send(&Message::RegisterWorker {
             node: NodeId(0),
             gpus: 4,
@@ -336,11 +301,11 @@ pub fn heartbeat_scenario(engine: Engine) {
 /// An open-loop gap in the arrival stream must not read as a drained
 /// trace: a `TrackedWindowDone` run waits for the whole pledged window
 /// even when a job completes while the wait queue is empty.
-pub fn submission_gap_scenario(engine: Engine) {
+pub fn submission_gap_scenario(poller: PollerKind) {
     let _wd = watchdog(Duration::from_secs(120), "submission-gap scenario");
-    let backend = NetBackend::bind(sched_config(engine)).expect("bind ephemeral");
+    let backend = NetBackend::bind(sched_config(poller)).expect("bind ephemeral");
     let addr = backend.addr();
-    let daemon = spawn_node(node_config(engine, addr));
+    let daemon = spawn_node(node_config(poller, addr));
 
     let submitter = std::thread::spawn(move || {
         let req = JobRequest {
