@@ -30,18 +30,17 @@ use blox_core::cluster::{ClusterState, GpuType, NodeSpec};
 use blox_core::error::{BloxError, Result};
 use blox_core::ids::{JobId, NodeId};
 use blox_core::job::{Job, JobStatus};
-use blox_core::manager::{
-    apply_placement, Backend, BloxManager, PlacementOutcome, RunConfig, StopCondition,
-};
+use blox_core::manager::{Backend, BloxManager, PlacementOutcome, RunConfig, StopCondition};
 use blox_core::metrics::RunStats;
 use blox_core::policy::{AdmissionPolicy, Placement, PlacementPolicy, SchedulingPolicy};
 use blox_core::profile::JobProfile;
 use blox_core::snapshot::Snapshot;
 use blox_core::state::JobState;
-use blox_runtime::runtime::{apply_status_message, placement_iter_time, RuntimeConfig, SimClock};
+use blox_runtime::protocol::{self, accrue_service, apply_status_message, WorkerLink};
+use blox_runtime::runtime::{RuntimeConfig, SimClock};
 use blox_runtime::wire::Message;
 use blox_workloads::ModelZoo;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::event_loop::{
     Delivery, EvLoopConfig, EvLoopPool, EvSender, LoopEvent, Token, TransportKind,
@@ -721,11 +720,13 @@ impl NetBackend {
             self.requeue_job(id, cluster, jobs);
         }
     }
+}
 
-    /// Send one command to a worker. A failed send is a failure-detector
-    /// verdict in its own right: the loop has closed the link, so the
-    /// node is declared dead immediately —
-    /// its jobs requeue on the next `update_metrics` — instead of
+/// The event loop is the networked [`WorkerLink`].
+impl WorkerLink for NetBackend {
+    /// A failed send is a failure-detector verdict in its own right: the
+    /// loop has closed the link, so the node is declared dead immediately
+    /// — its jobs requeue on the next `update_metrics` — instead of
     /// waiting out the heartbeat deadline on a corpse.
     fn send_to(&mut self, node: NodeId, msg: &Message, cluster: &mut ClusterState) {
         let sender = self
@@ -740,41 +741,24 @@ impl NetBackend {
         }
     }
 
-    /// Wait (bounded) for a job's suspension ack, applying other traffic
-    /// as it arrives; propagates two-phase `ExitAt` decisions to peers.
-    fn wait_for_suspension(&mut self, job: JobId, cluster: &mut ClusterState, jobs: &mut JobState) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            while let Some(msg) = self.pending_status.pop_front() {
-                match msg {
-                    Message::JobSuspended { job: j, iters } if j == job => {
-                        if let Some(jref) = jobs.get_mut(job) {
-                            jref.completed_iters = iters.min(jref.total_iters);
-                        }
-                        return;
-                    }
-                    Message::ExitAt { job: j, exit_iter } => {
-                        // Phase 2: propagate the exit decision to the peer
-                        // shards' nodes (rank 0's node already has it).
-                        let peers: Vec<NodeId> = match jobs.get(j) {
-                            Some(jref) => cluster
-                                .nodes_of(&jref.placement)
-                                .into_iter()
-                                .skip(1)
-                                .collect(),
-                            None => Vec::new(),
-                        };
-                        for node in peers {
-                            self.send_to(node, &Message::ExitAt { job: j, exit_iter }, cluster);
-                        }
-                    }
-                    other => apply_status_message(other, cluster, jobs),
-                }
+    /// Buffered status first; otherwise one loop event, which may be a
+    /// registration, heartbeat or disconnect rather than status.
+    fn next_status(
+        &mut self,
+        timeout: Duration,
+        cluster: &mut ClusterState,
+    ) -> Result<Option<Message>> {
+        if let Some(msg) = self.pending_status.pop_front() {
+            return Ok(Some(msg));
+        }
+        match self.events.recv_timeout(timeout) {
+            Ok(ev) => {
+                self.process_event(ev, cluster);
+                Ok(self.pending_status.pop_front())
             }
-            match self.events.recv_timeout(Duration::from_millis(20)) {
-                Ok(ev) => self.process_event(ev, cluster),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(_) => return,
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => {
+                Err(BloxError::Transport("event loop gone".into()))
             }
         }
     }
@@ -854,16 +838,7 @@ impl Backend for NetBackend {
             apply_status_message(msg, cluster, jobs);
         }
         self.detect_lost_jobs(cluster, jobs);
-        // Service accrues over the running set only (index-driven), not
-        // every queued submission.
-        if elapsed > 0.0 {
-            let running: Vec<JobId> = jobs.running_ids().iter().copied().collect();
-            for id in running {
-                let job = jobs.get_mut(id).expect("running jobs are active");
-                job.attained_service += job.placement.len() as f64 * elapsed;
-                job.running_time += elapsed;
-            }
-        }
+        accrue_service(jobs, elapsed);
     }
 
     fn exec_jobs(
@@ -872,74 +847,8 @@ impl Backend for NetBackend {
         cluster: &mut ClusterState,
         jobs: &mut JobState,
     ) -> PlacementOutcome {
-        // Preempt via optimistic lease revocation + two-phase exit, sent
-        // to the worker hosting rank 0.
-        for id in &placement.to_suspend {
-            let Some(job) = jobs.get(*id) else { continue };
-            if job.status != JobStatus::Running {
-                continue;
-            }
-            let Some(rank0) = job
-                .placement
-                .first()
-                .and_then(|g| cluster.gpu(*g))
-                .map(|r| r.node)
-            else {
-                continue;
-            };
-            self.send_to(rank0, &Message::Revoke { job: *id }, cluster);
-            self.wait_for_suspension(*id, cluster, jobs);
-        }
-
-        // Shared-state transitions, exactly as the other backends.
-        let filtered = Placement {
-            to_suspend: placement.to_suspend.clone(),
-            to_launch: placement
-                .to_launch
-                .iter()
-                .filter(|(id, _)| {
-                    jobs.get(*id)
-                        .map(|j| j.status != JobStatus::Completed)
-                        .unwrap_or(false)
-                })
-                .cloned()
-                .collect(),
-        };
-        let outcome = apply_placement(&filtered, cluster, jobs, self.round_now);
-        debug_assert!(
-            outcome.is_clean(),
-            "placement conflict: {:?}",
-            outcome.skipped
-        );
-
-        // Launch RPCs, one per worker hosting a shard.
-        for (id, gpus) in &filtered.to_launch {
-            let Some(job) = jobs.get(*id) else { continue };
-            let iter_time = placement_iter_time(job, cluster);
-            let nodes = cluster.nodes_of(gpus);
-            for (rank, node) in nodes.iter().enumerate() {
-                let local: Vec<u8> = gpus
-                    .iter()
-                    .filter_map(|g| cluster.gpu(*g))
-                    .filter(|r| r.node == *node)
-                    .map(|r| r.local)
-                    .collect();
-                self.send_to(
-                    *node,
-                    &Message::Launch {
-                        job: *id,
-                        local_gpus: local,
-                        iter_time_s: iter_time,
-                        start_iters: job.completed_iters,
-                        total_iters: job.total_iters,
-                        warmup_s: job.profile.restore_s,
-                        is_rank0: rank == 0,
-                    },
-                    cluster,
-                );
-            }
-        }
-        outcome
+        let now = self.round_now;
+        protocol::exec_jobs(self, placement, cluster, jobs, now)
     }
 
     fn advance_round(&mut self, round_duration: f64) {

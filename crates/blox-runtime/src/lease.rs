@@ -26,15 +26,6 @@ use parking_lot::RwLock;
 
 use crate::wire::{Endpoint, Message};
 
-/// Which lease protocol the runtime uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseMode {
-    /// Every check round-trips to the central scheduler.
-    Centralized,
-    /// Checks are local; the scheduler pushes revocations (Blox default).
-    Optimistic,
-}
-
 /// Per-job lease state held by a worker manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaseState {

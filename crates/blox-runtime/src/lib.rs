@@ -3,7 +3,9 @@
 //! Mirrors the paper's three-component implementation (§6.3, Figure 17):
 //!
 //! * **CentralScheduler** — the [`RuntimeBackend`] plugs the scheduling
-//!   loop of `blox-core` into real (emulated-hardware) execution;
+//!   loop of `blox-core` into real (emulated-hardware) execution through
+//!   the scheduler half of the worker protocol ([`protocol`]), which
+//!   `blox-net`'s networked backend shares;
 //! * **WorkerManager** — one per node, launching and preempting emulated
 //!   training processes, storing leases and metrics locally;
 //! * **BloxClientLibrary** — a data-loader wrapper that checks its lease
@@ -27,13 +29,14 @@
 
 pub mod fault;
 pub mod lease;
+pub mod protocol;
 pub mod runtime;
 pub mod wire;
 
 pub use fault::{FaultySender, FaultyTransport};
-pub use lease::{LeaseMode, LeaseTable, TwoPhaseExit};
+pub use lease::{LeaseTable, TwoPhaseExit};
+pub use protocol::{apply_status_message, placement_iter_time, WorkerLink};
 pub use runtime::{
-    apply_status_message, placement_iter_time, EmulatedCluster, RuntimeBackend, RuntimeConfig,
-    ServeEnd, SimClock, WorkerManager,
+    EmulatedCluster, RuntimeBackend, RuntimeConfig, ServeEnd, SimClock, WorkerManager,
 };
 pub use wire::{Endpoint, Message, Transport, WireSender};

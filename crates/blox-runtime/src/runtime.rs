@@ -14,13 +14,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use blox_core::cluster::ClusterState;
+use blox_core::error::Result;
 use blox_core::ids::{JobId, NodeId};
-use blox_core::job::{Job, JobStatus};
-use blox_core::manager::{apply_placement, Backend, PlacementOutcome};
+use blox_core::job::Job;
+use blox_core::manager::{Backend, PlacementOutcome};
 use blox_core::policy::Placement;
 use blox_core::state::JobState;
 
 use crate::lease::LeaseTable;
+use crate::protocol::{self, accrue_service, apply_status_message, WorkerLink};
 use crate::wire::{wire_bus, Endpoint, Message, Transport, WireRx, WireSender, WireTx};
 
 /// Runtime configuration.
@@ -374,68 +376,6 @@ fn run_emulated_job(
 
 // The emulated cluster + backend ----------------------------------------------
 
-/// Placement-adjusted per-iteration time for a job under its current
-/// placement — the performance-model entry point shared by every
-/// deployment backend (in-process and `blox-net`), mirroring the
-/// simulator's model so fidelity differences come from mechanism, not
-/// model.
-pub fn placement_iter_time(job: &Job, cluster: &ClusterState) -> f64 {
-    let n = job.placement.len() as u32;
-    let consolidated = cluster.is_consolidated(&job.placement);
-    let inter_bw = cluster.alloc_inter_bw(&job.placement);
-    let gpu_type = job
-        .placement
-        .first()
-        .and_then(|g| cluster.gpu(*g))
-        .map(|r| r.gpu_type)
-        .unwrap_or(blox_core::cluster::GpuType::V100);
-    job.profile
-        .iter_model
-        .iter_time(n, gpu_type, consolidated, inter_bw)
-}
-
-/// Apply one worker-originated job-status message (progress, metric push,
-/// completion, suspension checkpoint) to the shared scheduler state.
-///
-/// Shared by [`RuntimeBackend`] and `blox-net`'s networked scheduler
-/// backend so the two deployments interpret worker traffic identically.
-/// Command-direction and control-plane messages are ignored.
-pub fn apply_status_message(msg: Message, cluster: &mut ClusterState, jobs: &mut JobState) {
-    match msg {
-        Message::Progress { job, iters } => {
-            if let Some(j) = jobs.get_mut(job) {
-                if j.status == JobStatus::Running {
-                    j.completed_iters = iters.min(j.total_iters);
-                }
-            }
-        }
-        Message::PushMetric { job, key, value } => {
-            if let Some(j) = jobs.get_mut(job) {
-                j.push_metric(&key, value);
-            }
-        }
-        Message::JobDone { job, sim_time }
-            if jobs
-                .get(job)
-                .is_some_and(|j| j.status == JobStatus::Running) =>
-        {
-            let j = jobs.get_mut(job).expect("job verified present above");
-            j.completed_iters = j.total_iters;
-            j.completion_time = Some(sim_time);
-            j.placement.clear();
-            jobs.set_status(job, JobStatus::Completed)
-                .expect("job verified present above");
-            cluster.release(job);
-        }
-        Message::JobSuspended { job, iters } => {
-            if let Some(j) = jobs.get_mut(job) {
-                j.completed_iters = iters.min(j.total_iters);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// A running set of worker managers plus the central message bus.
 pub struct EmulatedCluster {
     workers: BTreeMap<NodeId, WorkerHandle>,
@@ -453,6 +393,24 @@ impl EmulatedCluster {
     /// A node's local lease table, if the node has a worker.
     pub fn lease_table(&self, node: NodeId) -> Option<Arc<LeaseTable>> {
         self.workers.get(&node).map(|w| w.lease())
+    }
+}
+
+/// The channel bus is the in-process [`WorkerLink`]: commands go down each
+/// worker's endpoint, status comes up the shared bus.
+impl WorkerLink for EmulatedCluster {
+    fn send_to(&mut self, node: NodeId, msg: &Message, _cluster: &mut ClusterState) {
+        if let Some(w) = self.workers.get(&node) {
+            let _ = w.cmd.send(msg);
+        }
+    }
+
+    fn next_status(
+        &mut self,
+        timeout: Duration,
+        _cluster: &mut ClusterState,
+    ) -> Result<Option<Message>> {
+        self.bus_rx.recv_timeout(timeout)
     }
 }
 
@@ -497,57 +455,6 @@ impl RuntimeBackend {
             last_update: 0.0,
         }
     }
-
-    fn worker_of(&self, cluster: &ClusterState, job: &Job) -> Option<NodeId> {
-        job.placement
-            .first()
-            .and_then(|g| cluster.gpu(*g))
-            .map(|r| r.node)
-    }
-
-    /// Drain the bus, applying messages to shared state; returns messages
-    /// we were waiting for (filtered by `keep`).
-    fn drain_bus(&mut self, cluster: &mut ClusterState, jobs: &mut JobState) {
-        while let Ok(Some(msg)) = self.cluster.bus_rx.try_recv() {
-            apply_status_message(msg, cluster, jobs);
-        }
-    }
-
-    /// Wait (bounded) for a specific job's suspension ack, applying other
-    /// messages as they arrive. Returns the checkpointed iterations.
-    fn wait_for_suspension(
-        &mut self,
-        job: JobId,
-        cluster: &mut ClusterState,
-        jobs: &mut JobState,
-    ) -> Option<f64> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            match self.cluster.bus_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Some(Message::JobSuspended { job: j, iters })) if j == job => {
-                    if let Some(jref) = jobs.get_mut(job) {
-                        jref.completed_iters = iters.min(jref.total_iters);
-                    }
-                    return Some(iters);
-                }
-                Ok(Some(Message::ExitAt { job: j, exit_iter })) => {
-                    // Propagate the exit decision to peer shards (phase 2).
-                    if let Some(jref) = jobs.get(j) {
-                        let nodes = cluster.nodes_of(&jref.placement);
-                        for node in nodes.iter().skip(1) {
-                            if let Some(w) = self.cluster.workers.get(node) {
-                                let _ = w.cmd.send(&Message::ExitAt { job: j, exit_iter });
-                            }
-                        }
-                    }
-                }
-                Ok(Some(other)) => apply_status_message(other, cluster, jobs),
-                Ok(None) => {}
-                Err(_) => return None,
-            }
-        }
-        None
-    }
 }
 
 impl Backend for RuntimeBackend {
@@ -588,17 +495,10 @@ impl Backend for RuntimeBackend {
         );
         let elapsed = (self.round_now - self.last_update).max(0.0);
         self.last_update = self.round_now;
-        self.drain_bus(cluster, jobs);
-        // Attained service accrues at round granularity like the sim;
-        // index-driven over the running set, not every active job.
-        if elapsed > 0.0 {
-            let running: Vec<JobId> = jobs.running_ids().iter().copied().collect();
-            for id in running {
-                let job = jobs.get_mut(id).expect("running jobs are active");
-                job.attained_service += job.placement.len() as f64 * elapsed;
-                job.running_time += elapsed;
-            }
+        while let Ok(Some(msg)) = self.cluster.bus_rx.try_recv() {
+            apply_status_message(msg, cluster, jobs);
         }
+        accrue_service(jobs, elapsed);
     }
 
     fn exec_jobs(
@@ -607,69 +507,7 @@ impl Backend for RuntimeBackend {
         cluster: &mut ClusterState,
         jobs: &mut JobState,
     ) -> PlacementOutcome {
-        // Preempt via optimistic lease revocation + two-phase exit.
-        for id in &placement.to_suspend {
-            let Some(job) = jobs.get(*id) else { continue };
-            if job.status != JobStatus::Running {
-                continue;
-            }
-            let Some(rank0) = self.worker_of(cluster, job) else {
-                continue;
-            };
-            if let Some(w) = self.cluster.workers.get(&rank0) {
-                let _ = w.cmd.send(&Message::Revoke { job: *id });
-            }
-            self.wait_for_suspension(*id, cluster, jobs);
-        }
-
-        // Apply the shared-state transitions (suspend bookkeeping, GPU
-        // allocation for launches) exactly as the simulator does.
-        let filtered = Placement {
-            to_suspend: placement.to_suspend.clone(),
-            to_launch: placement
-                .to_launch
-                .iter()
-                .filter(|(id, _)| {
-                    jobs.get(*id)
-                        .map(|j| j.status != JobStatus::Completed)
-                        .unwrap_or(false)
-                })
-                .cloned()
-                .collect(),
-        };
-        let outcome = apply_placement(&filtered, cluster, jobs, self.round_now);
-        debug_assert!(
-            outcome.is_clean(),
-            "placement conflict: {:?}",
-            outcome.skipped
-        );
-
-        // Send launch RPCs, one per worker hosting a shard.
-        for (id, gpus) in &filtered.to_launch {
-            let Some(job) = jobs.get(*id) else { continue };
-            let iter_time = placement_iter_time(job, cluster);
-            let nodes = cluster.nodes_of(gpus);
-            for (rank, node) in nodes.iter().enumerate() {
-                let local: Vec<u8> = gpus
-                    .iter()
-                    .filter_map(|g| cluster.gpu(*g))
-                    .filter(|r| r.node == *node)
-                    .map(|r| r.local)
-                    .collect();
-                if let Some(w) = self.cluster.workers.get(node) {
-                    let _ = w.cmd.send(&Message::Launch {
-                        job: *id,
-                        local_gpus: local,
-                        iter_time_s: iter_time,
-                        start_iters: job.completed_iters,
-                        total_iters: job.total_iters,
-                        warmup_s: job.profile.restore_s,
-                        is_rank0: rank == 0,
-                    });
-                }
-            }
-        }
-        outcome
+        protocol::exec_jobs(&mut self.cluster, placement, cluster, jobs, self.round_now)
     }
 
     fn advance_round(&mut self, round_duration: f64) {
@@ -682,6 +520,7 @@ impl Backend for RuntimeBackend {
 mod tests {
     use super::*;
     use blox_core::cluster::NodeSpec;
+    use blox_core::job::JobStatus;
     use blox_core::manager::{BloxManager, ExecMode, RunConfig, StopCondition};
     use blox_core::policy::{
         AdmissionPolicy, PlacementPolicy, SchedulingDecision, SchedulingPolicy,
@@ -836,5 +675,63 @@ mod tests {
             j.completed_iters
         );
         assert_eq!(cstate.free_gpu_count(), 4);
+    }
+
+    /// Rank 0 is the lowest node of a placement, not the node of its first
+    /// GPU: a placement that lists node 1's GPUs before node 0's must still
+    /// be revoked at node 0, with the exit decision forwarded to node 1.
+    #[test]
+    fn suspension_revokes_rank0_when_placement_lists_a_higher_node_first() {
+        use crate::lease::LeaseState;
+
+        let mut cstate = cluster(2);
+        let mut jobs = JobState::new();
+        jobs.add_new_jobs(vec![Job::new(JobId(0), 0.0, 6, 100_000.0, quick_profile())]);
+        let emu = EmulatedCluster::start(&cstate, RuntimeConfig::default());
+        let mut backend = RuntimeBackend::new(emu, vec![]);
+        let mut gpus = cstate.free_gpus_on(NodeId(1)).to_vec();
+        gpus.extend_from_slice(&cstate.free_gpus_on(NodeId(0))[..2]);
+        let launch = Placement {
+            to_launch: vec![(JobId(0), gpus)],
+            to_suspend: vec![],
+        };
+        backend.exec_jobs(&launch, &mut cstate, &mut jobs);
+        backend.advance_round(3000.0);
+        backend.update_metrics(&mut cstate, &mut jobs, 3000.0);
+
+        let suspend = Placement {
+            to_launch: vec![],
+            to_suspend: vec![JobId(0)],
+        };
+        let started = Instant::now();
+        backend.exec_jobs(&suspend, &mut cstate, &mut jobs);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "suspension ack took {took:?}"
+        );
+
+        let lease = |node| {
+            backend
+                .cluster
+                .lease_table(NodeId(node))
+                .expect("node has a worker")
+                .state(JobId(0))
+        };
+        let rank0 = lease(0);
+        assert!(
+            matches!(rank0, Some(LeaseState::ExitAt(_))),
+            "rank 0 revoked, got {rank0:?}"
+        );
+        // The forwarded ExitAt lands on node 1's worker thread asynchronously.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while lease(1) != rank0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(lease(1), rank0, "peer shard exits at rank 0's iteration");
+
+        let j = jobs.get(JobId(0)).unwrap();
+        assert_eq!(j.status, JobStatus::Suspended);
+        assert!(j.completed_iters > 0.0, "checkpoint must carry progress");
     }
 }

@@ -8,7 +8,6 @@ use std::time::Duration;
 use blox_core::ids::{JobId, NodeId};
 use blox_runtime::lease::{LeaseTable, TwoPhaseExit};
 use blox_runtime::wire::{wire_bus, Endpoint, Message};
-use blox_runtime::LeaseMode;
 use rand::{Rng, SeedableRng};
 
 // Lease protocol over the wire ----------------------------------------------
@@ -139,15 +138,6 @@ fn regrant_after_revocation_restores_lease() {
         t.may_run(job, 1_000_000),
         "re-granted lease is unbounded again"
     );
-}
-
-/// The mode enum is part of the public protocol surface; both variants
-/// must stay distinguishable and copyable for config plumbing.
-#[test]
-fn lease_modes_are_distinct() {
-    assert_ne!(LeaseMode::Centralized, LeaseMode::Optimistic);
-    let copied = LeaseMode::Optimistic;
-    assert_eq!(copied, LeaseMode::Optimistic);
 }
 
 // Wire codec robustness ------------------------------------------------------

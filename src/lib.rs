@@ -12,8 +12,6 @@
 //! * [`net`] — the networked deployment subsystem (framed-TCP transport,
 //!   `bloxschedd`/`bloxnoded` daemons, live job submission).
 //! * [`synth`] — the automatic scheduler synthesizer.
-//! * [`inference`] — the Nexus-style inference-scheduling prototype
-//!   (paper Appendix C).
 //!
 //! # Quickstart
 //!
@@ -42,7 +40,6 @@
 //! ```
 
 pub use blox_core as core;
-pub use blox_inference as inference;
 pub use blox_net as net;
 pub use blox_policies as policies;
 pub use blox_runtime as runtime;
