@@ -80,7 +80,12 @@ pub trait Backend: Send {
         jobs: &mut JobState,
     ) -> PlacementOutcome;
 
-    /// Advance to the next round boundary (simulated clock jump or sleep).
+    /// Advance to the next round boundary (simulated clock jump or
+    /// wall-clock wait). A real-time backend may serve work that needs no
+    /// shared state while it waits: `blox-net`'s `NetBackend` accepts and
+    /// stamps submissions as they arrive, and defers what needs the
+    /// cluster (registrations, worker disconnects) to the next
+    /// `update_cluster`.
     fn advance_round(&mut self, round_duration: f64);
 
     /// The earliest future time at which backend-driven state can change,

@@ -116,6 +116,15 @@ pub enum LoopEvent {
     Closed(Token),
 }
 
+impl LoopEvent {
+    /// The connection this event belongs to.
+    pub fn token(&self) -> Token {
+        match self {
+            LoopEvent::Connected(t, _) | LoopEvent::Msg(t, ..) | LoopEvent::Closed(t) => *t,
+        }
+    }
+}
+
 impl std::fmt::Debug for LoopEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

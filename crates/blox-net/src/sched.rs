@@ -267,6 +267,9 @@ pub struct NetBackend {
     queue: VecDeque<Job>,
     /// Worker job-status messages awaiting a `JobState` to apply to.
     pending_status: VecDeque<Message>,
+    /// Loop events received mid-wait that need the cluster, in arrival
+    /// order; the next `poll` applies them first.
+    deferred: VecDeque<LoopEvent>,
     zoo: ModelZoo,
     next_job: u64,
     /// Jobs the run has pledged to wait for (set by [`serve`] from a
@@ -329,6 +332,7 @@ impl NetBackend {
             cfg,
             queue: VecDeque::new(),
             pending_status: VecDeque::new(),
+            deferred: VecDeque::new(),
             zoo: ModelZoo::standard(),
             next_job: 0,
             expected_jobs: None,
@@ -465,51 +469,27 @@ impl NetBackend {
         }
     }
 
-    /// Drain and apply every queued connection event (registrations,
-    /// heartbeats, submissions, disconnects). Job-status traffic is
-    /// buffered until the next `update_metrics`, which has the `JobState`.
+    /// Apply the events deferred mid-wait, then drain and apply every
+    /// queued connection event (registrations, heartbeats, submissions,
+    /// disconnects). Job-status traffic is buffered until the next
+    /// `update_metrics`, which has the `JobState`.
     pub fn poll(&mut self, cluster: &mut ClusterState) {
+        for ev in std::mem::take(&mut self.deferred) {
+            self.process_event(ev, cluster);
+        }
         while let Ok(ev) = self.events.try_recv() {
             self.process_event(ev, cluster);
         }
     }
 
+    /// Apply one loop event. Registrations and disconnects are handled
+    /// here, as a worker's need the cluster; the rest goes through
+    /// [`Self::serve_event`].
     fn process_event(&mut self, ev: LoopEvent, cluster: &mut ClusterState) {
         match ev {
-            LoopEvent::Connected(id, sender) => {
-                self.conns.insert(
-                    id,
-                    Conn {
-                        sender,
-                        role: Role::Pending,
-                    },
-                );
-            }
-            LoopEvent::Msg(id, msg, at) => self.process_message(id, msg, at, cluster),
-            LoopEvent::Closed(id) => {
-                if let Some(conn) = self.conns.remove(&id) {
-                    if let Role::Worker(node) = conn.role {
-                        self.node_conn.remove(&node);
-                        self.declare_dead(node, cluster);
-                    }
-                }
-            }
-        }
-    }
-
-    fn process_message(
-        &mut self,
-        id: Token,
-        msg: Message,
-        at: Instant,
-        cluster: &mut ClusterState,
-    ) {
-        // Node ids on the wire are claims, not credentials: a connection
-        // registers at most once, and only beats for the node it became.
-        let role = self.conns.get(&id).map(|c| c.role);
-        match msg {
-            Message::RegisterWorker { gpus, .. } => {
-                if role != Some(Role::Pending) {
+            LoopEvent::Msg(id, Message::RegisterWorker { gpus, .. }, at) => {
+                // A connection registers at most once.
+                if self.conns.get(&id).map(|c| c.role) != Some(Role::Pending) {
                     return;
                 }
                 let node = self.adopt_or_add(gpus, cluster);
@@ -529,6 +509,56 @@ impl NetBackend {
                     });
                 }
             }
+            LoopEvent::Closed(id) => {
+                if let Some(Role::Worker(node)) = self.conns.remove(&id).map(|c| c.role) {
+                    self.node_conn.remove(&node);
+                    self.declare_dead(node, cluster);
+                }
+            }
+            ev => self.serve_event(ev),
+        }
+    }
+
+    /// Apply an event that needs no cluster; `advance_round` calls this
+    /// the moment an event arrives. There, a registration, a worker's
+    /// disconnect, and anything behind a deferred event on the same
+    /// connection are deferred instead, in arrival order, to the next
+    /// `poll` (which empties the buffer before applying any of it).
+    fn serve_event(&mut self, ev: LoopEvent) {
+        let needs_cluster = match &ev {
+            LoopEvent::Msg(_, Message::RegisterWorker { .. }, _) => true,
+            LoopEvent::Closed(id) => {
+                matches!(self.conns.get(id).map(|c| c.role), Some(Role::Worker(_)))
+            }
+            LoopEvent::Connected(..) | LoopEvent::Msg(..) => false,
+        };
+        match ev {
+            ev if needs_cluster || self.deferred.iter().any(|d| d.token() == ev.token()) => {
+                self.deferred.push_back(ev);
+            }
+            LoopEvent::Connected(id, sender) => {
+                self.conns.insert(
+                    id,
+                    Conn {
+                        sender,
+                        role: Role::Pending,
+                    },
+                );
+            }
+            LoopEvent::Msg(id, msg, at) => self.process_message(id, msg, at),
+            LoopEvent::Closed(id) => {
+                self.conns.remove(&id);
+            }
+        }
+    }
+
+    /// Heartbeats, submissions (the one submit path), and job status,
+    /// which waits in `pending_status`.
+    fn process_message(&mut self, id: Token, msg: Message, at: Instant) {
+        // Node ids on the wire are claims, not credentials: a connection
+        // only beats for the node it registered as.
+        let role = self.conns.get(&id).map(|c| c.role);
+        match msg {
             Message::Heartbeat { node, .. } => {
                 if role == Some(Role::Worker(node)) {
                     if let Some(last) = self.last_hb.get_mut(&node) {
@@ -548,13 +578,14 @@ impl NetBackend {
                     .by_name(&model)
                     .cloned()
                     .unwrap_or_else(|| JobProfile::synthetic(&model, 1.0));
-                self.queue.push_back(Job::new(
-                    job_id,
-                    self.clock.sim_now(),
-                    gpus.max(1),
-                    total_iters,
-                    profile,
-                ));
+                // Stamped as it is handled, which mid-wait is on arrival.
+                let arrival = self.clock.sim_now();
+                debug_assert!(
+                    self.queue.back().is_none_or(|j| j.arrival_time <= arrival),
+                    "wait queue out of arrival order"
+                );
+                self.queue
+                    .push_back(Job::new(job_id, arrival, gpus.max(1), total_iters, profile));
                 if let Some(conn) = self.conns.get_mut(&id) {
                     if conn.role == Role::Pending {
                         conn.role = Role::Client;
@@ -751,6 +782,8 @@ impl WorkerLink for NetBackend {
         if let Some(msg) = self.pending_status.pop_front() {
             return Ok(Some(msg));
         }
+        // Rounds poll before they execute, so nothing deferred is overtaken.
+        debug_assert!(self.deferred.is_empty(), "exec_jobs before poll");
         match self.events.recv_timeout(timeout) {
             Ok(ev) => {
                 self.process_event(ev, cluster);
@@ -791,17 +824,13 @@ impl Backend for NetBackend {
         self.check_heartbeats(cluster);
     }
 
+    /// The queue is in arrival order (stamps read the monotone sim
+    /// clock), so the due jobs are a prefix.
     fn pop_wait_queue(&mut self, now: f64) -> Vec<Job> {
         let mut out = Vec::new();
-        let mut later = VecDeque::new();
-        while let Some(job) = self.queue.pop_front() {
-            if job.arrival_time <= now {
-                out.push(job);
-            } else {
-                later.push_back(job);
-            }
+        while self.queue.front().is_some_and(|j| j.arrival_time <= now) {
+            out.extend(self.queue.pop_front());
         }
-        self.queue = later;
         out
     }
 
@@ -851,9 +880,22 @@ impl Backend for NetBackend {
         protocol::exec_jobs(self, placement, cluster, jobs, now)
     }
 
+    /// Wait out the tick on the event loop, serving each event as it
+    /// arrives: a submission is accepted (and stamped) on arrival, not at
+    /// the next tick. With the loop gone, the tick is still slept out.
     fn advance_round(&mut self, round_duration: f64) {
         self.round_now += round_duration;
-        self.clock.sleep_until(self.round_now);
+        let deadline = self.clock.wall_at(self.round_now);
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            match self.events.recv_timeout(left) {
+                Ok(ev) => self.serve_event(ev),
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => {
+                    std::thread::sleep(left);
+                    break;
+                }
+            }
+        }
     }
 }
 
@@ -1233,5 +1275,144 @@ mod tests {
             job.preemptions, 2,
             "one preemption from the crash demotion, one from the stall requeue"
         );
+    }
+
+    /// A scheduler whose rounds last `round_wall` of wall time, with
+    /// rounds begun.
+    fn long_round_backend(round_wall: Duration) -> (NetBackend, f64) {
+        let time_scale = 1e-2;
+        let mut backend = NetBackend::bind(SchedulerConfig {
+            runtime: RuntimeConfig {
+                time_scale,
+                emu_iter_sim_s: 30.0,
+            },
+            // No node goes silent long enough to be declared dead here.
+            heartbeat_sim_s: 1e6,
+            ..SchedulerConfig::default()
+        })
+        .expect("bind ephemeral");
+        backend.begin_rounds();
+        (backend, round_wall.as_secs_f64() / time_scale)
+    }
+
+    /// On its own connection, after `delay`: submit one job and return
+    /// how long `JobAccepted` took to come back.
+    fn submit_after(addr: SocketAddr, delay: Duration) -> std::thread::JoinHandle<Duration> {
+        std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            let client = EvTransport::connect(addr, global_pool()).expect("connect client");
+            let sent = Instant::now();
+            client
+                .send(&Message::SubmitJob {
+                    gpus: 1,
+                    total_iters: 1.0,
+                    model: "probe".into(),
+                })
+                .expect("submit");
+            match client
+                .recv_timeout(Duration::from_secs(10))
+                .expect("link alive")
+            {
+                Some(Message::JobAccepted { .. }) => sent.elapsed(),
+                other => panic!("expected JobAccepted, got {other:?}"),
+            }
+        })
+    }
+
+    /// A submission sent mid-tick is accepted while the scheduler waits
+    /// out the tick, not when the next round polls.
+    #[test]
+    fn a_submission_is_accepted_mid_tick() {
+        let (mut backend, round) = long_round_backend(Duration::from_millis(1500));
+        let client = submit_after(backend.addr(), Duration::from_millis(300));
+        backend.advance_round(round);
+        // Polled only after the tick, so a reply sent from `poll` shows
+        // up as a latency of over a second here.
+        backend.update_cluster(&mut ClusterState::new());
+        let latency = client.join().expect("client thread");
+        assert!(
+            latency < Duration::from_millis(100),
+            "accepted {latency:?} after sending"
+        );
+    }
+
+    /// A submission that arrives during a round's wait is stamped with
+    /// its arrival inside that round, so the very next tick admits it.
+    #[test]
+    fn a_submission_mid_tick_is_admitted_at_the_next_tick() {
+        let (mut backend, round) = long_round_backend(Duration::from_millis(1000));
+        let client = submit_after(backend.addr(), Duration::from_millis(300));
+        let round_start = backend.now();
+        backend.advance_round(round);
+        backend.update_cluster(&mut ClusterState::new());
+        client.join().expect("client thread");
+        let now = backend.now();
+        let admitted = backend.pop_wait_queue(now);
+        assert_eq!(
+            admitted.len(),
+            1,
+            "admitted at the first tick after arrival"
+        );
+        let arrival = admitted[0].arrival_time;
+        assert!(
+            round_start < arrival && arrival <= now,
+            "arrival {arrival} outside its round ({round_start}, {now}]"
+        );
+    }
+
+    /// Mid-wait, only cluster-free events take effect: a registration and
+    /// that worker's disconnect are applied in order by the next
+    /// `update_cluster`, worker status by the next `update_metrics`, and a
+    /// submission in between is still accepted at once.
+    #[test]
+    fn cluster_events_mid_tick_wait_for_the_next_round_in_order() {
+        let (mut backend, round) = long_round_backend(Duration::from_millis(1500));
+        let mut cluster = ClusterState::new();
+        let mut jobs = JobState::new();
+        jobs.add_new_jobs(vec![flat_running_job(0)]);
+        let w1 = EvTransport::connect(backend.addr(), global_pool()).expect("connect w1");
+        let n1 = register(&mut backend, &mut cluster, &w1);
+
+        let addr = backend.addr();
+        let traffic = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            let w2 = EvTransport::connect(addr, global_pool()).expect("connect w2");
+            w2.send(&Message::RegisterWorker {
+                node: NodeId(0),
+                gpus: 4,
+            })
+            .expect("register w2");
+            w1.send(&Message::Progress {
+                job: JobId(0),
+                iters: 500.0,
+            })
+            .expect("progress");
+            let latency = submit_after(addr, Duration::ZERO).join().expect("client");
+            // Let the registration land before the link drops.
+            std::thread::sleep(Duration::from_millis(100));
+            drop(w2);
+            (w1, latency)
+        });
+        backend.advance_round(round);
+        assert_eq!(backend.nodes_joined(), 1, "no registration inside the wait");
+        assert_eq!(backend.failures_detected(), 0, "no verdict inside the wait");
+        assert_eq!(cluster.total_gpus(), 4);
+
+        backend.update_cluster(&mut cluster);
+        let (_w1, latency) = traffic.join().expect("traffic thread");
+        assert!(
+            latency < Duration::from_millis(100),
+            "accepted after {latency:?}"
+        );
+        assert_eq!(backend.nodes_joined(), 2, "w2 registered");
+        assert_eq!(backend.failures_detected(), 1, "then declared dead");
+        let nodes: Vec<(NodeId, bool)> = cluster.all_nodes().map(|n| (n.id, n.alive)).collect();
+        assert_eq!(nodes.len(), 2);
+        assert!(nodes.iter().all(|&(id, alive)| alive == (id == n1)));
+
+        let progress = |jobs: &JobState| jobs.get(JobId(0)).expect("active").completed_iters;
+        assert_eq!(progress(&jobs), 100.0);
+        backend.update_metrics(&mut cluster, &mut jobs, 0.0);
+        assert_eq!(progress(&jobs), 500.0, "status applied by update_metrics");
     }
 }

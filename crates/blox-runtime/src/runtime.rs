@@ -85,13 +85,16 @@ impl SimClock {
         self.start.elapsed().as_secs_f64() / self.scale
     }
 
+    /// The wall-clock instant at which the simulated clock reads `sim_t`
+    /// (the clock's start for non-positive `sim_t`).
+    pub fn wall_at(&self, sim_t: f64) -> Instant {
+        self.start + Duration::from_secs_f64((sim_t * self.scale).max(0.0))
+    }
+
     /// Sleep until the simulated clock reaches `sim_t` (no-op if past).
     pub fn sleep_until(&self, sim_t: f64) {
-        let target = self.start + Duration::from_secs_f64(sim_t * self.scale);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
+        let target = self.wall_at(sim_t);
+        std::thread::sleep(target.saturating_duration_since(Instant::now()));
     }
 }
 
