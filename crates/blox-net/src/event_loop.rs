@@ -118,7 +118,7 @@ pub enum LoopEvent {
 
 impl LoopEvent {
     /// The connection this event belongs to.
-    pub fn token(&self) -> Token {
+    pub(crate) fn token(&self) -> Token {
         match self {
             LoopEvent::Connected(t, _) | LoopEvent::Msg(t, ..) | LoopEvent::Closed(t) => *t,
         }
